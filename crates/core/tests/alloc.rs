@@ -21,8 +21,10 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use cfaopc_core::{CircleParams, ComposeConfig, ComposeWorkspace, SoftWorkspace, SparseCircles};
+use cfaopc_fft::parallel::with_worker_limit;
 use cfaopc_grid::{fill_rect, BitGrid, Grid2D, Rect};
 use cfaopc_ilt::{Optimizer, OptimizerKind};
 use cfaopc_litho::{loss_and_gradient_into, LithoConfig, LithoSimulator, LossWeights};
@@ -68,6 +70,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
+
+/// The byte counter is process-global, so the guards must not overlap:
+/// each test holds this lock for its whole measurement.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 const WARMUP: usize = 3;
 const MEASURED: usize = 6;
@@ -132,6 +142,7 @@ fn record_iteration(sink: &mut MemorySink, it: usize, sparsity: f64, grads: &[f6
 
 #[test]
 fn steady_state_circleopt_iteration_is_allocation_free() {
+    let _serial = serial();
     // Tracing stays enabled for the whole binary: spans, counters, and
     // the sink all run inside the measured window and must not allocate
     // once their nodes/buffers exist (warm-up covers first-touch).
@@ -182,6 +193,7 @@ fn steady_state_circleopt_iteration_is_allocation_free() {
 
 #[test]
 fn steady_state_softmax_iteration_is_allocation_free() {
+    let _serial = serial();
     // Same guard for the softmax composition branch: the reused
     // `SoftWorkspace` (numerator/normalizer grids, tile buckets) plus
     // `backward_into` must reach zero net growth after warm-up, with the
@@ -231,4 +243,56 @@ fn steady_state_softmax_iteration_is_allocation_free() {
         "steady-state softmax iterations grew the heap by {growth} bytes over {MEASURED} iterations"
     );
     assert_eq!(sink.records().len(), WARMUP + MEASURED);
+}
+
+#[test]
+fn steady_state_band_grid_loss_and_gradient_is_allocation_free() {
+    let _serial = serial();
+    // At 256² the fields run on the 128² band grid and every corner's
+    // intensity and dL/dI crosses between the grids: all of that scratch
+    // (band fields, band spectra, padded full-grid spectra) must come
+    // from the simulator's pools once warm.
+    cfaopc_trace::set_enabled(true);
+    let sim = LithoSimulator::new(LithoConfig {
+        size: 256,
+        kernel_count: 4,
+        ..LithoConfig::default()
+    })
+    .unwrap();
+    assert!(sim.band() < sim.size(), "the band path must be active");
+    let n = sim.size();
+    let mut target = BitGrid::new(n, n);
+    fill_rect(&mut target, Rect::new(96, 64, 160, 192));
+    let target_real = target.to_real();
+    let mut mask = target_real.clone();
+    let mut grad_mask = Grid2D::new(n, n, 0.0);
+
+    // Pools hold as many buffers as were ever out at once; under a
+    // multi-worker pool that peak depends on scheduling and can first be
+    // reached after warm-up. One worker makes the steady state exact, and
+    // the scratch under test is the same at any worker count.
+    let growth = with_worker_limit(1, || {
+        let mut baseline = 0isize;
+        for it in 0..WARMUP + MEASURED {
+            let _loss = loss_and_gradient_into(
+                &sim,
+                &mask,
+                &target_real,
+                LossWeights::default(),
+                &mut grad_mask,
+            )
+            .unwrap();
+            for (m, g) in mask.as_mut_slice().iter_mut().zip(grad_mask.as_slice()) {
+                *m = (*m - 1e-3 * g).clamp(0.0, 1.0);
+            }
+            if it + 1 == WARMUP {
+                baseline = net_bytes();
+            }
+        }
+        net_bytes() - baseline
+    });
+    assert_eq!(
+        growth, 0,
+        "steady-state band-grid loss_and_gradient_into grew the heap by {growth} bytes over {MEASURED} calls"
+    );
 }

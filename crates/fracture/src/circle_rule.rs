@@ -193,8 +193,7 @@ fn complete_coverage(
     if uncovered.len() <= allowed_uncovered {
         return;
     }
-    let crop_mask = region.to_mask(labels.width(), labels.height());
-    let depth = cfaopc_grid::interior_distance(&crop_mask);
+    let depth = RegionDepth::new(region, labels.width(), labels.height());
     let budget = area / cfaopc_grid::disk_area(r_min).max(1) + 8;
     for _ in 0..budget {
         if uncovered.len() <= allowed_uncovered {
@@ -203,9 +202,10 @@ fn complete_coverage(
         let &deepest = uncovered
             .iter()
             .max_by(|a, b| {
-                let da = depth[(a.x as usize, a.y as usize)];
-                let db = depth[(b.x as usize, b.y as usize)];
-                da.partial_cmp(&db).unwrap_or(std::cmp::Ordering::Equal)
+                depth
+                    .at(**a)
+                    .partial_cmp(&depth.at(**b))
+                    .unwrap_or(std::cmp::Ordering::Equal)
             })
             .expect("uncovered nonempty");
         let r = select_radius(
@@ -221,6 +221,43 @@ fn complete_coverage(
         region_shots.push(shot);
         out.push(shot);
         uncovered.retain(|&p| !shot.contains(p));
+    }
+}
+
+/// [`cfaopc_grid::interior_distance`] of one region, computed on the
+/// region's bounding box padded by one pixel and clamped to the grid.
+///
+/// Every pixel outside the box is background, and the pad ring (where
+/// the box does not touch the grid edge) holds a background pixel
+/// nearer than any beyond it, so each region pixel's depth equals its
+/// depth on the full grid. A crop with no background at all is the whole
+/// grid, where the border fallback applies on both sides alike.
+struct RegionDepth {
+    x0: i32,
+    y0: i32,
+    depth: cfaopc_grid::Grid2D<f64>,
+}
+
+impl RegionDepth {
+    fn new(region: &cfaopc_grid::Region, width: usize, height: usize) -> Self {
+        let x0 = (region.bbox.x0 - 1).max(0);
+        let y0 = (region.bbox.y0 - 1).max(0);
+        let x1 = (region.bbox.x1 + 1).min(width as i32);
+        let y1 = (region.bbox.y1 + 1).min(height as i32);
+        let mut crop = BitGrid::new((x1 - x0) as usize, (y1 - y0) as usize);
+        for &p in &region.points {
+            crop.set((p.x - x0) as usize, (p.y - y0) as usize, true);
+        }
+        RegionDepth {
+            x0,
+            y0,
+            depth: cfaopc_grid::interior_distance(&crop),
+        }
+    }
+
+    /// Depth of the region pixel `p` (grid coordinates).
+    fn at(&self, p: Point) -> f64 {
+        self.depth[((p.x - self.x0) as usize, (p.y - self.y0) as usize)]
     }
 }
 
@@ -436,6 +473,34 @@ mod tests {
                 circles.shots().iter().any(|s| s.center().dist(c) < 60.0),
                 "no shot near region at {c}"
             );
+        }
+    }
+
+    #[test]
+    fn cropped_region_depth_matches_full_grid_depth() {
+        // Regions touching each border, one in the interior, a corner
+        // blob, and a region filling the whole grid (border fallback).
+        let (w, h) = (40usize, 28usize);
+        let mut mask = BitGrid::new(w, h);
+        fill_rect(&mut mask, Rect::new(0, 0, 9, 6));
+        fill_rect(&mut mask, Rect::new(14, 0, 20, 10));
+        fill_rect(&mut mask, Rect::new(33, 5, 40, 20));
+        fill_rect(&mut mask, Rect::new(0, 12, 5, 28));
+        fill_rect(&mut mask, Rect::new(10, 24, 30, 28));
+        fill_circle(&mut mask, Point::new(20, 16), 4);
+        let mut full = BitGrid::new(w, h);
+        fill_rect(&mut full, Rect::new(0, 0, w as i32, h as i32));
+        for m in [&mask, &full] {
+            let labeling = connected_components(m, Connectivity::Eight);
+            assert!(!labeling.regions.is_empty());
+            for region in &labeling.regions {
+                let whole = cfaopc_grid::interior_distance(&region.to_mask(w, h));
+                let crop = RegionDepth::new(region, w, h);
+                for &p in &region.points {
+                    let expected = whole[(p.x as usize, p.y as usize)];
+                    assert_eq!(crop.at(p).to_bits(), expected.to_bits(), "at {p}");
+                }
+            }
         }
     }
 

@@ -4,6 +4,7 @@
 //! specks that would violate the minimum shot radius) and to build the
 //! optimization domains of the baseline ILT engines.
 
+use crate::distance::squared_distance_to;
 use crate::grid::{BitGrid, Point};
 
 /// Structuring element shape.
@@ -15,52 +16,57 @@ pub enum Structuring {
     Disk(i32),
 }
 
-impl Structuring {
-    fn offsets(self) -> Vec<(i32, i32)> {
-        match self {
-            Structuring::Square(r) => {
-                let r = r.max(0);
-                let mut v = Vec::new();
-                for dy in -r..=r {
-                    for dx in -r..=r {
-                        v.push((dx, dy));
-                    }
-                }
-                v
-            }
-            Structuring::Disk(r) => {
-                let r = r.max(0);
-                let r2 = r as i64 * r as i64;
-                let mut v = Vec::new();
-                for dy in -r..=r {
-                    for dx in -r..=r {
-                        if (dx as i64 * dx as i64 + dy as i64 * dy as i64) <= r2 {
-                            v.push((dx, dy));
-                        }
-                    }
-                }
-                v
-            }
-        }
-    }
-}
-
 /// Dilation: a pixel is set if any pixel under the structuring element is
-/// set. Square elements run separably (two 1-D passes).
+/// set. Square elements run separably (two 1-D passes); disks threshold
+/// the exact squared distance transform, O(w·h) for any radius.
 pub fn dilate(mask: &BitGrid, elem: Structuring) -> BitGrid {
     match elem {
         Structuring::Square(r) => separable_extreme(mask, r.max(0), true),
-        Structuring::Disk(_) => sweep(mask, elem, true),
+        Structuring::Disk(r) => {
+            let r2 = disk_r2(r);
+            let d2 = squared_distance_to(mask);
+            threshold_map(mask.width(), mask.height(), |x, y| d2[(x, y)] <= r2)
+        }
     }
 }
 
 /// Erosion: a pixel stays set only if every pixel under the structuring
 /// element is set (off-grid counts as background).
+///
+/// For disks: the nearest background pixel must lie outside the disk,
+/// and so must the grid edge — the nearest off-grid pixel is the
+/// axis-aligned one, `min(x+1, w−x, y+1, h−y)` away.
 pub fn erode(mask: &BitGrid, elem: Structuring) -> BitGrid {
     match elem {
         Structuring::Square(r) => separable_extreme(mask, r.max(0), false),
-        Structuring::Disk(_) => sweep(mask, elem, false),
+        Structuring::Disk(r) => {
+            let (w, h) = (mask.width(), mask.height());
+            let r2 = disk_r2(r);
+            let r = r.max(0) as usize;
+            let background = threshold_map(w, h, |x, y| !mask.get(x, y));
+            let d2 = squared_distance_to(&background);
+            threshold_map(w, h, |x, y| {
+                d2[(x, y)] > r2 && (x + 1).min(w - x).min(y + 1).min(h - y) > r
+            })
+        }
     }
+}
+
+/// The mask of pixels where `keep(x, y)` holds.
+fn threshold_map(w: usize, h: usize, keep: impl Fn(usize, usize) -> bool) -> BitGrid {
+    let mut out = BitGrid::new(w, h);
+    for y in 0..h {
+        for x in 0..w {
+            out.set(x, y, keep(x, y));
+        }
+    }
+    out
+}
+
+/// Squared radius of a `Disk(r)` element (negative radii act as 0).
+fn disk_r2(r: i32) -> f64 {
+    let r = f64::from(r.max(0));
+    r * r
 }
 
 /// Opening: erosion then dilation — removes specks smaller than the element.
@@ -71,30 +77,6 @@ pub fn open(mask: &BitGrid, elem: Structuring) -> BitGrid {
 /// Closing: dilation then erosion — fills pinholes smaller than the element.
 pub fn close(mask: &BitGrid, elem: Structuring) -> BitGrid {
     erode(&dilate(mask, elem), elem)
-}
-
-fn sweep(mask: &BitGrid, elem: Structuring, any: bool) -> BitGrid {
-    let (w, h) = (mask.width(), mask.height());
-    let offsets = elem.offsets();
-    let mut out = BitGrid::new(w, h);
-    for y in 0..h as i32 {
-        for x in 0..w as i32 {
-            let mut hit = !any;
-            for &(dx, dy) in &offsets {
-                let v = mask.at(Point::new(x + dx, y + dy));
-                if any && v {
-                    hit = true;
-                    break;
-                }
-                if !any && !v {
-                    hit = false;
-                    break;
-                }
-            }
-            out.set(x as usize, y as usize, hit);
-        }
-    }
-    out
 }
 
 /// Separable max/min filter for square structuring elements.
@@ -221,6 +203,85 @@ mod tests {
         for y in 4..20 {
             for x in 4..20 {
                 assert_eq!(d.get(x, y), !e.get(x, y), "at ({x},{y})");
+            }
+        }
+    }
+
+    /// Brute-force disk morphology: scans every offset of the disk,
+    /// clipped to the grid plus its one-pixel off-grid ring (the nearest
+    /// off-grid pixel of any disk that leaves the grid lies on that ring).
+    fn brute_disk(mask: &BitGrid, r: i32, any: bool) -> BitGrid {
+        let (w, h) = (mask.width() as i32, mask.height() as i32);
+        let mut out = BitGrid::new(mask.width(), mask.height());
+        for y in 0..h {
+            for x in 0..w {
+                let mut hit = !any;
+                'disk: for dy in (-r).max(-y - 1)..=r.min(h - y) {
+                    for dx in (-r).max(-x - 1)..=r.min(w - x) {
+                        if dx * dx + dy * dy > r * r {
+                            continue;
+                        }
+                        if mask.at(Point::new(x + dx, y + dy)) == any {
+                            hit = any;
+                            break 'disk;
+                        }
+                    }
+                }
+                out.set(x as usize, y as usize, hit);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn disk_morphology_matches_brute_force() {
+        // Deterministic LCG masks: sparse, dense, border-touching blobs,
+        // plus the full and empty grids, on square and non-square shapes.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            state >> 33
+        };
+        for &(w, h) in &[(16usize, 16usize), (23, 9), (7, 19), (1, 12)] {
+            let mut masks = vec![BitGrid::new(w, h)];
+            let mut full = BitGrid::new(w, h);
+            fill_rect(&mut full, Rect::new(0, 0, w as i32, h as i32));
+            masks.push(full);
+            for density in [8u64, 50, 90] {
+                let mut m = BitGrid::new(w, h);
+                for y in 0..h {
+                    for x in 0..w {
+                        m.set(x, y, next() % 100 < density);
+                    }
+                }
+                masks.push(m);
+            }
+            // A blob hugging the top-left corner and the right edge.
+            masks.push(rect_mask(
+                w,
+                h,
+                Rect::new(0, 0, w as i32 / 2 + 1, h as i32 / 3 + 1),
+            ));
+            masks.push(rect_mask(
+                w,
+                h,
+                Rect::new(w as i32 - 2, 1, w as i32, h as i32),
+            ));
+            for m in &masks {
+                for r in 0..=80 {
+                    assert_eq!(
+                        dilate(m, Structuring::Disk(r)),
+                        brute_disk(m, r, true),
+                        "dilate {w}x{h} r={r}"
+                    );
+                    assert_eq!(
+                        erode(m, Structuring::Disk(r)),
+                        brute_disk(m, r, false),
+                        "erode {w}x{h} r={r}"
+                    );
+                }
             }
         }
     }

@@ -81,9 +81,10 @@ pub struct FnNode {
     pub in_test_scope: bool,
 }
 
-/// Std-trait method names too ubiquitous to attribute to a workspace fn
-/// from a `receiver.name(…)` call, even when the workspace happens to
-/// define exactly one fn with the name.
+/// Std method names too ubiquitous to attribute to a workspace fn from a
+/// `receiver.name(…)` call, even when the workspace happens to define
+/// exactly one fn with the name: std-trait methods, plus the atomics'
+/// `load`/`store` (every gated counter and flag calls them).
 const COMMON_METHODS: &[&str] = &[
     "add",
     "as_mut",
@@ -112,6 +113,7 @@ const COMMON_METHODS: &[&str] = &[
     "iter",
     "iter_mut",
     "len",
+    "load",
     "map",
     "mul",
     "ne",
@@ -123,6 +125,7 @@ const COMMON_METHODS: &[&str] = &[
     "push",
     "read",
     "spawn",
+    "store",
     "sub",
     "to_owned",
     "to_string",
@@ -309,9 +312,17 @@ fn resolve(
     };
     let caller_node = &nodes[caller];
     if quals.is_empty() {
-        // Same file, same module wins; then an ancestor module in the
-        // same file (deepest first); then any same-file fn; then every
-        // same-named fn in the workspace (conservative ambiguity).
+        // An unqualified `f(…)` never names an associated fn (those need
+        // `Type::f` or `Self::f`), so only free fns are candidates. Among
+        // them, same file, same module wins; then an ancestor module in
+        // the same file (deepest first); then any same-file fn; then
+        // every same-named free fn in the workspace (conservative
+        // ambiguity).
+        let candidates: Vec<usize> = candidates
+            .iter()
+            .copied()
+            .filter(|&c| nodes[c].impl_type.is_none())
+            .collect();
         let same_file: Vec<usize> = candidates
             .iter()
             .copied()
@@ -338,7 +349,7 @@ fn resolve(
         if !same_file.is_empty() {
             return same_file;
         }
-        return candidates.clone();
+        return candidates;
     }
     // Qualified: every qualifier must match something the candidate is
     // known by; otherwise the path points outside the workspace.
@@ -473,6 +484,35 @@ mod tests {
             callee_names(&g, "crates/x/src/lib.rs", "go"),
             Vec::<String>::new()
         );
+    }
+
+    #[test]
+    fn unqualified_calls_skip_associated_fns() {
+        // `drop(guard)` is `std::mem::drop`, never some type's
+        // `Drop::drop`: an associated fn needs a `Type::`/`Self::` path.
+        let src = sources(&[
+            (
+                "crates/x/src/lib.rs",
+                "struct S;\nimpl Drop for S { fn drop(&mut self) { teardown(); } }\nfn teardown() {}\n",
+            ),
+            ("crates/y/src/lib.rs", "fn go() { drop(guard); }\n"),
+        ]);
+        let ws = Workspace::new(&src);
+        let g = CallGraph::build(&ws);
+        assert!(callee_names(&g, "crates/y/src/lib.rs", "go").is_empty());
+    }
+
+    #[test]
+    fn atomic_loads_and_stores_never_resolve() {
+        // A workspace-unique free `load` must not capture every
+        // `FLAG.load(Ordering::Relaxed)` in the workspace.
+        let src = sources(&[(
+            "crates/x/src/lib.rs",
+            "pub fn load(p: &str) {}\npub fn store() {}\nfn go() { FLAG.load(Relaxed); FLAG.store(true, Relaxed); }\n",
+        )]);
+        let ws = Workspace::new(&src);
+        let g = CallGraph::build(&ws);
+        assert!(callee_names(&g, "crates/x/src/lib.rs", "go").is_empty());
     }
 
     #[test]

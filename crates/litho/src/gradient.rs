@@ -104,12 +104,18 @@ pub fn loss_and_gradient(
 
 /// [`loss_and_gradient`] into a caller-owned gradient grid.
 ///
-/// All full-grid scratch (mask spectrum, spectral accumulator, per-corner
-/// intensity and dL/dI) comes from the simulator's buffer pools, and
-/// `grad` is fully overwritten (reallocated only on a grid-size change) —
-/// so a caller looping over iterations with a persistent `grad` performs
-/// **zero steady-state heap allocations** here. [`loss_and_gradient`] is
-/// the convenience wrapper that allocates a fresh grid per call.
+/// All scratch (mask spectrum, band fields, spectral accumulator,
+/// per-corner intensity and dL/dI) comes from the simulator's buffer
+/// pools, and `grad` is fully overwritten (reallocated only on a
+/// grid-size change) — so a caller looping over iterations with a
+/// persistent `grad` performs **zero steady-state heap allocations**
+/// here. [`loss_and_gradient`] is the convenience wrapper that allocates
+/// a fresh grid per call.
+///
+/// The per-kernel fields and their adjoint transforms run on the band
+/// grid ([`LithoSimulator::band`]); per corner, one transform pair
+/// carries the intensity onto the full grid for the resist and one
+/// carries dL/dI back onto the band grid.
 ///
 /// # Errors
 ///
@@ -124,7 +130,6 @@ pub fn loss_and_gradient_into(
 ) -> Result<LossValues, LithoError> {
     let _span = cfaopc_trace::span("litho.loss_and_gradient");
     let n = sim.size();
-    let n2 = n * n;
     if target.width() != n || target.height() != n {
         return Err(LithoError::ShapeMismatch {
             expected: (n, n),
@@ -132,77 +137,127 @@ pub fn loss_and_gradient_into(
         });
     }
     let spectrum = sim.mask_spectrum_pooled(mask)?;
-    let cfg = sim.config();
-    let theta = cfg.resist_steepness;
-    let th = cfg.threshold;
-    let floor = cfg.kernel_energy_floor;
-
-    let corners = corner_plan(weights);
-    // Global forward task index: stack-major (corner order), kernel-
-    // ascending within a stack; `fwd_offsets[c]` is corner c's first task.
-    // Stacks are weight-sorted, so `active_count` truncates their tails
-    // when `kernel_energy_floor < 1.0`.
-    let mut fwd_offsets = [0usize; 4];
-    for (c, &(corner, _)) in corners.iter().enumerate() {
-        fwd_offsets[c + 1] = fwd_offsets[c] + sim.kernel_set(corner).active_count(floor);
+    let fields = sim.with_band_spectrum(&spectrum, |band| forward_fields(sim, weights, band));
+    sim.put_spectrum(spectrum);
+    let fields = fields?;
+    if grad.width() != n || grad.height() != n {
+        *grad = Grid2D::new(n, n, 0.0);
     }
-    let fwd_total = fwd_offsets[3];
+    let values = resist_and_adjoint(sim, target, weights, &fields, grad.as_mut_slice());
+    for field in fields {
+        sim.band_fields().put(field);
+    }
+    values
+}
 
-    // Forward: coherent fields for **all corners** in one flat parallel
-    // region (kept alive for the adjoint), so workers stay busy across
-    // corner boundaries. Each task's IFFT runs serially on its claimed
-    // thread in a pooled buffer; kernel spectra are band-limited, so the
-    // sparse inverse skips the all-zero rows. Plan errors are unreachable
-    // (plan and buffers share one config) but propagate as
-    // `LithoError::Fft`; pooled buffers from completed kernels are
-    // dropped rather than repooled on that cold path.
-    let fields: Vec<Vec<Complex>> = par_map(fwd_total, |t| -> Result<Vec<Complex>, LithoError> {
-        let c = fwd_offsets[1..4].iter().position(|&o| t < o).unwrap_or(2);
-        let set = sim.kernel_set(corners[c].0);
-        let k = t - fwd_offsets[c];
-        let mut field = sim.field_pool().take(n2);
-        set.apply(k, &spectrum, &mut field);
-        sim.plan().inverse_serial_sparse(&mut field)?;
+/// Global forward task offsets: stack-major (corner order), kernel-
+/// ascending within a stack; `offsets[c]` is corner `c`'s first task.
+/// Stacks are weight-sorted, so `active_count` truncates their tails when
+/// `kernel_energy_floor < 1.0`.
+fn task_offsets(sim: &LithoSimulator, weights: LossWeights) -> [usize; 4] {
+    let floor = sim.config().kernel_energy_floor;
+    let mut offsets = [0usize; 4];
+    for (c, &(corner, _)) in corner_plan(weights).iter().enumerate() {
+        offsets[c + 1] = offsets[c] + sim.kernel_set(corner).active_count(floor);
+    }
+    offsets
+}
+
+/// Coherent band-grid fields for **all corners** in one flat parallel
+/// region (kept alive for the adjoint), so workers stay busy across
+/// corner boundaries. Each task's IFFT runs serially on its claimed
+/// thread in a pooled buffer; kernel spectra are band-limited, so the
+/// sparse inverse skips the all-zero rows. Plan errors are unreachable
+/// (plan and buffers share one config) but propagate as
+/// `LithoError::Fft`; pooled buffers from completed kernels are dropped
+/// rather than repooled on that cold path.
+fn forward_fields(
+    sim: &LithoSimulator,
+    weights: LossWeights,
+    band_spectrum: &[Complex],
+) -> Result<Vec<Vec<Complex>>, LithoError> {
+    let corners = corner_plan(weights);
+    let offsets = task_offsets(sim, weights);
+    let b2 = band_spectrum.len();
+    let fields = par_map(offsets[3], |t| -> Result<Vec<Complex>, LithoError> {
+        let c = offsets[1..4].iter().position(|&o| t < o).unwrap_or(2);
+        let mut field = sim.band_fields().take(b2);
+        sim.kernel_set(corners[c].0)
+            .apply(t - offsets[c], band_spectrum, &mut field);
+        sim.band_plan().inverse_serial_sparse(&mut field)?;
         Ok(field)
     })
     .into_iter()
     .collect::<Result<_, _>>()?;
+    Ok(fields)
+}
+
+/// Per-corner resist, loss value and dL/dI from the band fields, then
+/// the adjoint into `grad`.
+fn resist_and_adjoint(
+    sim: &LithoSimulator,
+    target: &Grid2D<f64>,
+    weights: LossWeights,
+    fields: &[Vec<Complex>],
+    grad: &mut [f64],
+) -> Result<LossValues, LithoError> {
+    let cfg = sim.config();
+    let (n, b) = (sim.size(), sim.band());
+    let (n2, b2) = (n * n, b * b);
+    let theta = cfg.resist_steepness;
+    let th = cfg.threshold;
+    let corners = corner_plan(weights);
+    let fwd_offsets = task_offsets(sim, weights);
 
     let mut values = LossValues::default();
-    // Per-corner resist, loss value, and dL/dI. Every nonzero-weight
-    // corner's g_i buffer survives to feed the single batched adjoint
-    // region below.
+    // Every nonzero-weight corner's band-grid dL/dI survives to feed the
+    // single batched adjoint region below.
     let mut g_all: [Option<Vec<f64>>; 3] = [None, None, None];
     for (c, &(corner, w_c)) in corners.iter().enumerate() {
         let set = sim.kernel_set(corner);
         let dose = cfg.dose(corner);
         let active = fwd_offsets[c + 1] - fwd_offsets[c];
 
-        let mut intensity = sim.real_pool().take_zeroed(n2);
+        let mut band_intensity = sim.band_reals().take_zeroed(b2);
         for k in 0..active {
             let w = set.kernels()[k].weight * dose;
-            accumulate_norm_sqr(&mut intensity, &fields[fwd_offsets[c] + k], w);
+            accumulate_norm_sqr(&mut band_intensity, &fields[fwd_offsets[c] + k], w);
         }
+        let intensity = if b == n {
+            band_intensity
+        } else {
+            let mut full = sim.grid_reals().take(n2);
+            let expanded = sim.expand_from_band(&band_intensity, &mut full);
+            sim.band_reals().put(band_intensity);
+            expanded?;
+            full
+        };
 
         // g_i is fully overwritten, so unspecified pool contents are
         // fine.
         let mut corner_loss = 0.0;
-        let mut g_i = sim.real_pool().take(n2);
+        let mut g_i = sim.grid_reals().take(n2);
         for i in 0..n2 {
             let z = sigmoid_sat(theta * (intensity[i] - th));
             let diff = z - target.as_slice()[i];
             corner_loss += diff * diff;
             g_i[i] = w_c * 2.0 * diff * theta * z * (1.0 - z);
         }
-        sim.real_pool().put(intensity);
+        sim.grid_reals().put(intensity);
         match corner {
             ProcessCorner::Nominal => values.l2 = corner_loss,
             _ => values.pvb += corner_loss,
         }
         if w_c == 0.0 {
-            sim.real_pool().put(g_i);
-        } else {
+            sim.grid_reals().put(g_i);
+        } else if b == n {
             g_all[c] = Some(g_i);
+        } else {
+            let mut band_g = sim.band_reals().take(b2);
+            let cropped = sim.crop_to_band(&g_i, &mut band_g);
+            sim.grid_reals().put(g_i);
+            cropped?;
+            g_all[c] = Some(band_g);
         }
     }
     values.total = weights.l2 * values.l2 + weights.pvb * values.pvb;
@@ -222,8 +277,9 @@ pub fn loss_and_gradient_into(
     }
     let adj_total = adj_offsets[adj_stacks];
 
-    // Spectral gradient accumulator (pupil support only is ever nonzero).
-    let mut acc = sim.field_pool().take_zeroed(n2);
+    // Band-grid spectral gradient accumulator (pupil support only is ever
+    // nonzero).
+    let mut acc = sim.band_fields().take_zeroed(b2);
     if adj_total > 0 {
         // Adjoint: per kernel, B = G ⊙ conj(A); contribute
         // 2·μ·dose·H ⊙ IFFT(B) on the (sparse) pupil support. Again one
@@ -239,20 +295,21 @@ pub fn loss_and_gradient_into(
                 let dose = cfg.dose(corners[c].0);
                 let k = t - adj_offsets[s];
                 let g_i = g_all[c].as_deref().unwrap_or(&[]);
-                let mut b = sim.field_pool().take(n2);
-                conj_mul_real(&mut b, &fields[fwd_offsets[c] + k], g_i);
+                let mut prod = sim.band_fields().take(b2);
+                conj_mul_real(&mut prod, &fields[fwd_offsets[c] + k], g_i);
                 // The transform's output is only sampled on the pupil
                 // support below, so the column pass can skip every
                 // column outside the kernel set's union support —
                 // sampled columns are bit-identical to the dense path.
-                sim.plan().inverse_serial_cols(&mut b, set.support_cols())?;
+                sim.band_plan()
+                    .inverse_serial_cols(&mut prod, set.support_cols())?;
                 let scale = 2.0 * set.kernels()[k].weight * dose;
                 let contribution = set.kernels()[k]
                     .spectrum
                     .iter()
-                    .map(|&(idx, h)| (idx, h * b[idx as usize] * scale))
+                    .map(|&(idx, h)| (idx, h * prod[idx as usize] * scale))
                     .collect();
-                sim.field_pool().put(b);
+                sim.band_fields().put(prod);
                 Ok(contribution)
             })
             .into_iter()
@@ -266,22 +323,16 @@ pub fn loss_and_gradient_into(
             }
         }
     }
-    for g_i in g_all.into_iter().flatten() {
-        sim.real_pool().put(g_i);
-    }
-    for field in fields {
-        sim.field_pool().put(field);
+    for g in g_all.into_iter().flatten() {
+        sim.band_reals().put(g);
     }
 
     // One shared half-spectrum transform turns the spectral accumulator
     // into the pixel-space gradient `Re[FFT(acc)]` directly, without
     // materialising the imaginary half.
-    if grad.width() != n || grad.height() != n {
-        *grad = Grid2D::new(n, n, 0.0);
-    }
-    sim.rplan().forward_re_into(&acc, grad.as_mut_slice())?;
-    sim.field_pool().put(acc);
-    sim.field_pool().put(spectrum);
+    let done = sim.grid_from_band_spectrum(&acc, grad);
+    sim.band_fields().put(acc);
+    done?;
     Ok(values)
 }
 
@@ -366,20 +417,54 @@ mod tests {
     #[test]
     fn gradient_matches_finite_differences() {
         let sim = small_sim();
+        assert_eq!(sim.band(), sim.size(), "32² runs with band = grid");
+        let points = [(16usize, 16usize), (10, 20), (3, 3), (25, 12), (16, 10)];
+        check_finite_differences(&sim, &target_square(sim.size()), &points);
+    }
+
+    #[test]
+    fn gradient_matches_finite_differences_on_the_band_grid() {
+        // At 256² the fields live on the 128² band grid and dL/dI is
+        // cropped onto it, so this checks the band adjoint end to end.
+        let sim = LithoSimulator::new(LithoConfig {
+            size: 256,
+            kernel_count: 4,
+            ..LithoConfig::default()
+        })
+        .unwrap();
+        assert_eq!(sim.band(), 128);
+        let n = sim.size();
+        let mut target = BitGrid::new(n, n);
+        fill_rect(&mut target, Rect::new(100, 96, 156, 150));
+        // Edge, corner, interior and far-field pixels of the target.
+        let points = [
+            (100usize, 120usize),
+            (156, 150),
+            (128, 128),
+            (97, 96),
+            (30, 200),
+        ];
+        check_finite_differences(&sim, &target.to_real(), &points);
+    }
+
+    fn check_finite_differences(
+        sim: &LithoSimulator,
+        target: &Grid2D<f64>,
+        points: &[(usize, usize)],
+    ) {
         let n = sim.size();
         let mask = smooth_mask(n);
-        let target = target_square(n);
         let weights = LossWeights::default();
-        let (_, grad) = loss_and_gradient(&sim, &mask, &target, weights).unwrap();
+        let (_, grad) = loss_and_gradient(sim, &mask, target, weights).unwrap();
 
         let eps = 1e-5;
-        for &(x, y) in &[(16usize, 16usize), (10, 20), (3, 3), (25, 12), (16, 10)] {
+        for &(x, y) in points {
             let mut plus = mask.clone();
             plus[(x, y)] += eps;
             let mut minus = mask.clone();
             minus[(x, y)] -= eps;
-            let lp = loss_only(&sim, &plus, &target, weights).unwrap().total;
-            let lm = loss_only(&sim, &minus, &target, weights).unwrap().total;
+            let lp = loss_only(sim, &plus, target, weights).unwrap().total;
+            let lm = loss_only(sim, &minus, target, weights).unwrap().total;
             let fd = (lp - lm) / (2.0 * eps);
             let an = grad[(x, y)];
             let denom = fd.abs().max(an.abs()).max(1e-6);

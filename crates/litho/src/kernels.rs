@@ -9,35 +9,59 @@
 //! defocus phase. This has exactly the SOCS form of Eq. 1 with
 //! `μ_s = 1/K`.
 //!
-//! Kernels are band-limited to the pupil (radius `NA/λ` in frequency
-//! space, ≈14 bins on the default grid) so each spectrum is stored
-//! **sparsely** as `(flat index, value)` pairs; applying a kernel to a
-//! mask spectrum touches only those entries.
+//! Kernels are band-limited to the shifted pupil (reaching `max_bin` ≈ 29
+//! bins from DC on the default 2048 nm tile, whatever the grid size), so
+//! they live on the **band grid** of [`KernelSet::band`] pixels rather
+//! than the simulator grid, and each spectrum is stored **sparsely** as
+//! `(flat band-grid index, value)` pairs; applying a kernel to a band
+//! spectrum touches only those entries.
 
 use crate::config::{LithoConfig, LithoError, ProcessCorner};
 use cfaopc_fft::{signed_freq, Complex};
 
 /// One coherent kernel: a weight and a sparse frequency-domain transfer
-/// function over an `n × n` grid.
+/// function over the `band × band` grid.
 #[derive(Debug, Clone)]
 pub struct Kernel {
     /// SOCS weight `μ_k`.
     pub weight: f64,
-    /// Sparse spectrum: `(row-major frequency index, H(ν))`.
+    /// Sparse spectrum: `(row-major band-grid frequency index, H(ν))`.
     pub spectrum: Vec<(u32, Complex)>,
 }
 
 /// The kernel stack for one process corner.
 #[derive(Debug, Clone)]
 pub struct KernelSet {
-    size: usize,
+    band: usize,
     corner: ProcessCorner,
     kernels: Vec<Kernel>,
     /// `support_cols[kx]` is true when any kernel's spectrum touches a
-    /// frequency bin in column `kx`. The adjoint pass samples its
+    /// frequency bin in band column `kx`. The adjoint pass samples its
     /// inverse-FFT outputs only on the pupil support, so the column
     /// transform can skip every column outside this mask.
     support_cols: Vec<bool>,
+}
+
+/// Largest `|f|` (in frequency bins, per axis) any kernel of `config`
+/// can touch: the shifted pupil spans at most `(1+σ_out)·NA/λ` from DC,
+/// plus one bin of margin. Set by the tile size, not the grid size.
+fn max_bin(config: &LithoConfig) -> usize {
+    let cutoff = config.na / config.wavelength_nm;
+    let freq_step = 1.0 / config.tile_nm;
+    ((1.0 + config.sigma_outer) * cutoff / freq_step).ceil() as usize + 1
+}
+
+/// Edge of the band grid: the smallest power of two above `4·max_bin`,
+/// capped at the simulator grid.
+///
+/// Above `4·max_bin` the band holds `|E_k|²` (support `±2·max_bin`)
+/// without aliasing, and the wrap-around of the adjoint's product never
+/// reaches a pupil bin; see DESIGN.md "Spectral pipeline". At or below
+/// the cap the band grid *is* the simulator grid.
+pub(crate) fn band_edge(config: &LithoConfig) -> usize {
+    (4 * max_bin(config) + 1)
+        .next_power_of_two()
+        .min(config.size)
 }
 
 impl KernelSet {
@@ -76,7 +100,8 @@ impl KernelSet {
         defocus: f64,
     ) -> Result<Self, LithoError> {
         config.validate()?;
-        let n = config.size;
+        let n = band_edge(config);
+        let max_bin = max_bin(config) as i64;
         let cutoff = config.na / config.wavelength_nm; // cycles per nm
         let freq_step = 1.0 / config.tile_nm; // frequency-bin pitch
         let k_count = config.kernel_count;
@@ -92,9 +117,7 @@ impl KernelSet {
             let theta = k as f64 * golden;
             let src = (sigma * cutoff * theta.cos(), sigma * cutoff * theta.sin());
 
-            // Enumerate frequency bins inside the shifted pupil. The pupil
-            // spans at most (1+sigma_outer)*cutoff from DC.
-            let max_bin = (((1.0 + config.sigma_outer) * cutoff / freq_step).ceil() as i64) + 1;
+            // Enumerate band-grid frequency bins inside the shifted pupil.
             let mut spectrum = Vec::new();
             for ky in 0..n {
                 let fy = signed_freq(ky, n);
@@ -135,17 +158,19 @@ impl KernelSet {
             }
         }
         Ok(KernelSet {
-            size: n,
+            band: n,
             corner,
             kernels,
             support_cols,
         })
     }
 
-    /// Grid edge the kernels are defined on.
+    /// Edge of the band grid the kernels are defined on (see the module
+    /// docs): 128 at the default optics, or the simulator grid when that
+    /// is smaller.
     #[inline]
-    pub fn size(&self) -> usize {
-        self.size
+    pub fn band(&self) -> usize {
+        self.band
     }
 
     /// The corner these kernels model.
@@ -162,7 +187,7 @@ impl KernelSet {
 
     /// Column mask of the union pupil support: `support_cols()[kx]` is
     /// true iff some kernel has a spectrum entry in frequency column
-    /// `kx`. Length is [`Self::size`]. Feed this to
+    /// `kx`. Length is [`Self::band`]. Feed this to
     /// [`cfaopc_fft::Fft2d::inverse_serial_cols`] when the transform's
     /// output is only read back at pupil bins.
     #[inline]
@@ -191,40 +216,19 @@ impl KernelSet {
         self.kernels.len()
     }
 
-    /// Applies kernel `k` to a full mask spectrum: writes
+    /// Applies kernel `k` to a band-grid mask spectrum: writes
     /// `H_k ⊙ spectrum` into `out` (zeroing everything else).
     ///
     /// # Panics
     ///
-    /// Panics if buffer lengths differ from `size²` or `k` is out of range.
+    /// Panics if buffer lengths differ from `band²` or `k` is out of range.
     pub fn apply(&self, k: usize, spectrum: &[Complex], out: &mut [Complex]) {
-        let n2 = self.size * self.size;
+        let n2 = self.band * self.band;
         assert_eq!(spectrum.len(), n2, "spectrum length");
         assert_eq!(out.len(), n2, "output length");
         out.fill(Complex::ZERO);
         for &(idx, h) in &self.kernels[k].spectrum {
             out[idx as usize] = h * spectrum[idx as usize];
-        }
-    }
-
-    /// Accumulates `scale · H_k ⊙ field_spectrum` into `acc` (sparse —
-    /// only pupil bins are touched). Used by the adjoint pass.
-    ///
-    /// # Panics
-    ///
-    /// Panics if buffer lengths differ from `size²` or `k` is out of range.
-    pub fn accumulate(
-        &self,
-        k: usize,
-        field_spectrum: &[Complex],
-        scale: f64,
-        acc: &mut [Complex],
-    ) {
-        let n2 = self.size * self.size;
-        assert_eq!(field_spectrum.len(), n2, "spectrum length");
-        assert_eq!(acc.len(), n2, "accumulator length");
-        for &(idx, h) in &self.kernels[k].spectrum {
-            acc[idx as usize] += h * field_spectrum[idx as usize] * scale;
         }
     }
 }
@@ -269,7 +273,7 @@ mod tests {
     fn spectra_are_nonempty_and_band_limited() {
         let cfg = LithoConfig::fast_test();
         let set = KernelSet::generate(&cfg, ProcessCorner::Nominal).unwrap();
-        let n = cfg.size;
+        let n = set.band();
         let cutoff = cfg.na / cfg.wavelength_nm;
         let freq_step = 1.0 / cfg.tile_nm;
         let max_norm = (1.0 + cfg.sigma_outer) * cutoff;
@@ -325,7 +329,7 @@ mod tests {
     fn apply_zeroes_outside_pupil() {
         let cfg = LithoConfig::fast_test();
         let set = KernelSet::generate(&cfg, ProcessCorner::Nominal).unwrap();
-        let n2 = cfg.size * cfg.size;
+        let n2 = set.band() * set.band();
         let spectrum = vec![Complex::ONE; n2];
         let mut out = vec![Complex::new(9.0, 9.0); n2];
         set.apply(0, &spectrum, &mut out);
@@ -343,15 +347,66 @@ mod tests {
         ] {
             let set = KernelSet::generate(&cfg, corner).unwrap();
             let cols = set.support_cols();
-            assert_eq!(cols.len(), cfg.size);
+            assert_eq!(cols.len(), set.band());
             for kernel in set.kernels() {
                 for &(idx, _) in &kernel.spectrum {
-                    assert!(cols[idx as usize % cfg.size], "column {idx} unflagged");
+                    assert!(cols[idx as usize % set.band()], "column {idx} unflagged");
                 }
             }
             // The pupil is band-limited: the mask must also exclude
             // mid-band columns, otherwise sampling buys nothing.
             assert!(cols.iter().any(|&c| !c), "mask is trivially all-true");
+        }
+    }
+
+    #[test]
+    fn band_edge_follows_the_optics_and_caps_at_the_grid() {
+        let at = |size| {
+            band_edge(&LithoConfig {
+                size,
+                ..LithoConfig::default()
+            })
+        };
+        // Default optics reach 29 bins from DC: 4·29 = 116 → 128.
+        assert_eq!(at(128), 128);
+        assert_eq!(at(256), 128);
+        assert_eq!(at(2048), 128);
+        assert_eq!(at(64), 64, "capped at the simulator grid");
+        let wide = LithoConfig {
+            tile_nm: 4096.0,
+            ..LithoConfig::default()
+        };
+        assert_eq!(band_edge(&wide), 256, "a larger tile widens the band");
+    }
+
+    #[test]
+    fn kernels_are_the_same_at_every_grid_above_the_band() {
+        // The band grid depends on the optics only, so a 512² simulator's
+        // kernels are bit-for-bit the 128² simulator's.
+        for corner in ProcessCorner::ALL {
+            let at = |size| {
+                KernelSet::generate(
+                    &LithoConfig {
+                        size,
+                        ..LithoConfig::fast_test()
+                    },
+                    corner,
+                )
+                .unwrap()
+            };
+            let (small, large) = (at(128), at(512));
+            assert_eq!((small.band(), large.band()), (128, 128));
+            for (a, b) in small.kernels().iter().zip(large.kernels()) {
+                assert_eq!(a.weight.to_bits(), b.weight.to_bits());
+                assert_eq!(a.spectrum.len(), b.spectrum.len());
+                for (&(ia, ha), &(ib, hb)) in a.spectrum.iter().zip(&b.spectrum) {
+                    assert_eq!(ia, ib);
+                    assert_eq!(
+                        (ha.re.to_bits(), ha.im.to_bits()),
+                        (hb.re.to_bits(), hb.im.to_bits())
+                    );
+                }
+            }
         }
     }
 

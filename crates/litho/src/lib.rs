@@ -5,7 +5,8 @@
 //! * [`LithoConfig`] — optics (193 nm / NA 1.35 / annular source), resist
 //!   threshold, process corners, grid geometry;
 //! * [`KernelSet`] — Abbe/SOCS kernel generation (the `h_k`, `μ_k` of
-//!   Eq. 1), stored sparsely on the pupil support;
+//!   Eq. 1), stored sparsely on the pupil support of the optics' band
+//!   grid, whose size follows the pupil's reach rather than the grid's;
 //! * [`LithoSimulator`] — the Hopkins forward model
 //!   `I = Σ_k μ_k |h_k ⊗ M|²` via FFT, plus the threshold resist (Eq. 2)
 //!   and its sigmoid relaxation;
@@ -32,6 +33,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod band;
 mod config;
 mod gradient;
 mod kernels;

@@ -1,6 +1,7 @@
 //! The forward lithography model: Hopkins aerial image (Eq. 1) and the
 //! threshold / sigmoid resist (Eq. 2).
 
+use crate::band;
 use crate::config::{LithoConfig, LithoError, ProcessCorner};
 use crate::kernels::KernelSet;
 use cfaopc_fft::parallel::par_for;
@@ -32,8 +33,13 @@ impl CornerImages {
     }
 }
 
-/// A reusable lithography simulator: FFT plan plus per-corner SOCS
+/// A reusable lithography simulator: FFT plans plus per-corner SOCS
 /// kernel stacks for a fixed grid size.
+///
+/// The kernels and every per-kernel field live on the optics' **band
+/// grid** of [`LithoSimulator::band`] pixels (see [`KernelSet::band`]);
+/// only the mask spectrum, the per-corner intensities and dL/dI, and the
+/// final gradient touch the full grid.
 ///
 /// # Examples
 ///
@@ -56,21 +62,29 @@ impl CornerImages {
 #[derive(Debug)]
 pub struct LithoSimulator {
     config: LithoConfig,
-    plan: Fft2d,
-    /// Real-input plan for the mask FFT and the gradient's final
-    /// `Re[FFT(·)]` — both touch only real data on one side, so the
+    /// Real-input plan on the full grid: the mask spectrum, the band
+    /// moves of the intensity and dL/dI, and the gradient's final
+    /// `Re[FFT(·)]` — all touch only real data on one side, so the
     /// Hermitian-symmetry plan halves their transform work.
     rplan: Rfft2d,
+    /// Complex plan on the band grid: the per-kernel field transforms.
+    band_plan: Fft2d,
+    /// Real-input plan on the band grid (a clone of `rplan` when the band
+    /// grid is the full grid).
+    band_rplan: Rfft2d,
     nominal: KernelSet,
     max: KernelSet,
     min: KernelSet,
-    /// Recycled full-grid complex field buffers for the per-kernel
-    /// convolutions (shared with the adjoint pass), so the steady-state
-    /// forward model performs no per-call field allocations.
-    field_pool: BufferPool<Complex>,
-    /// Recycled full-grid real scratch (intensity, dL/dI) for the loss
-    /// and gradient path.
-    real_pool: BufferPool<f64>,
+    /// Recycled band-grid complex buffers: per-kernel fields (shared with
+    /// the adjoint pass), band spectra and the spectral gradient, so the
+    /// steady-state model performs no per-call field allocations.
+    band_fields: BufferPool<Complex>,
+    /// Recycled band-grid real buffers: band intensities and dL/dI.
+    band_reals: BufferPool<f64>,
+    /// Recycled full-grid complex buffers: mask and padded spectra.
+    grid_fields: BufferPool<Complex>,
+    /// Recycled full-grid real buffers: per-corner intensity and dL/dI.
+    grid_reals: BufferPool<f64>,
 }
 
 impl LithoSimulator {
@@ -82,18 +96,31 @@ impl LithoSimulator {
     /// Returns [`LithoError`] for invalid configurations.
     pub fn new(config: LithoConfig) -> Result<Self, LithoError> {
         config.validate()?;
-        let plan = Fft2d::square(config.size).map_err(|_| LithoError::BadGridSize(config.size))?;
-        let rplan =
-            Rfft2d::square(config.size).map_err(|_| LithoError::BadGridSize(config.size))?;
+        let n = config.size;
+        let rplan = Rfft2d::square(n).map_err(|_| LithoError::BadGridSize(n))?;
+        let nominal = KernelSet::generate(&config, ProcessCorner::Nominal)?;
+        let b = nominal.band();
+        let band_plan = Fft2d::square(b).map_err(|_| LithoError::BadGridSize(b))?;
+        let (grid_fields, grid_reals) = (BufferPool::new(), BufferPool::new());
+        // One grid means one buffer shape: share the pools and the plan.
+        let (band_rplan, band_fields, band_reals) = if b == n {
+            (rplan.clone(), grid_fields.clone(), grid_reals.clone())
+        } else {
+            let band_rplan = Rfft2d::square(b).map_err(|_| LithoError::BadGridSize(b))?;
+            (band_rplan, BufferPool::new(), BufferPool::new())
+        };
         Ok(LithoSimulator {
-            nominal: KernelSet::generate(&config, ProcessCorner::Nominal)?,
             max: KernelSet::generate(&config, ProcessCorner::Max)?,
             min: KernelSet::generate(&config, ProcessCorner::Min)?,
-            plan,
+            nominal,
             rplan,
+            band_plan,
+            band_rplan,
             config,
-            field_pool: BufferPool::new(),
-            real_pool: BufferPool::new(),
+            band_fields,
+            band_reals,
+            grid_fields,
+            grid_reals,
         })
     }
 
@@ -109,6 +136,14 @@ impl LithoSimulator {
         self.config.size
     }
 
+    /// Edge of the band grid the kernels and fields live on: the smallest
+    /// power of two above four times the pupil's reach in bins, capped at
+    /// [`LithoSimulator::size`].
+    #[inline]
+    pub fn band(&self) -> usize {
+        self.nominal.band()
+    }
+
     /// The kernel stack for `corner`.
     pub fn kernel_set(&self, corner: ProcessCorner) -> &KernelSet {
         match corner {
@@ -118,31 +153,29 @@ impl LithoSimulator {
         }
     }
 
-    /// The FFT plan (shared with the adjoint pass).
+    /// The band-grid complex plan (per-kernel field transforms, shared
+    /// with the adjoint pass).
     #[inline]
-    pub fn plan(&self) -> &Fft2d {
-        &self.plan
+    pub(crate) fn band_plan(&self) -> &Fft2d {
+        &self.band_plan
     }
 
-    /// The real-input FFT plan (mask spectrum, gradient's final
-    /// `Re[FFT(·)]`).
+    /// The band-grid complex buffer pool (fields, band spectra).
     #[inline]
-    pub fn rplan(&self) -> &Rfft2d {
-        &self.rplan
+    pub(crate) fn band_fields(&self) -> &BufferPool<Complex> {
+        &self.band_fields
     }
 
-    /// The simulator's shared scratch pool for full-grid complex fields
-    /// (used by the gradient's adjoint pass as well).
+    /// The band-grid real buffer pool (band intensities and dL/dI).
     #[inline]
-    pub(crate) fn field_pool(&self) -> &BufferPool<Complex> {
-        &self.field_pool
+    pub(crate) fn band_reals(&self) -> &BufferPool<f64> {
+        &self.band_reals
     }
 
-    /// The simulator's shared scratch pool for full-grid real buffers
-    /// (per-corner intensity and dL/dI in the loss path).
+    /// The full-grid real buffer pool (per-corner intensity and dL/dI).
     #[inline]
-    pub(crate) fn real_pool(&self) -> &BufferPool<f64> {
-        &self.real_pool
+    pub(crate) fn grid_reals(&self) -> &BufferPool<f64> {
+        &self.grid_reals
     }
 
     fn check_mask(&self, mask: &Grid2D<f64>) -> Result<(), LithoError> {
@@ -170,15 +203,98 @@ impl LithoSimulator {
     }
 
     /// [`LithoSimulator::mask_spectrum`] into a pooled buffer; return it
-    /// with `field_pool().put(...)` when done.
+    /// with [`LithoSimulator::put_spectrum`] when done.
     pub(crate) fn mask_spectrum_pooled(
         &self,
         mask: &Grid2D<f64>,
     ) -> Result<Vec<Complex>, LithoError> {
         self.check_mask(mask)?;
-        let mut spectrum = self.field_pool.take(mask.as_slice().len());
+        let mut spectrum = self.grid_fields.take(mask.as_slice().len());
         self.rplan.forward_into(mask.as_slice(), &mut spectrum)?;
         Ok(spectrum)
+    }
+
+    /// Returns a [`LithoSimulator::mask_spectrum_pooled`] buffer.
+    pub(crate) fn put_spectrum(&self, spectrum: Vec<Complex>) {
+        self.grid_fields.put(spectrum);
+    }
+
+    /// Runs `f` on the band-grid crop of a full-grid spectrum, scaled by
+    /// `(b/n)²` so that band-grid inverse transforms *sample* the
+    /// full-grid ones (`IFFT` normalises by the grid's pixel count). At
+    /// `b = n` the crop is the identity and `f` sees `spectrum` itself.
+    pub(crate) fn with_band_spectrum<R>(
+        &self,
+        spectrum: &[Complex],
+        f: impl FnOnce(&[Complex]) -> R,
+    ) -> R {
+        let (n, b) = (self.size(), self.band());
+        if b == n {
+            return f(spectrum);
+        }
+        let scale = ((b * b) as f64) / ((n * n) as f64);
+        let mut band = self.band_fields.take(b * b);
+        band::crop(spectrum, n, &mut band, b, |z| z * scale);
+        let out = f(&band);
+        self.band_fields.put(band);
+        out
+    }
+
+    /// Band-limited interpolation of a band-grid image onto the full grid
+    /// (`b < n`): `I_n = IFFT_n(pad((n/b)²·FFT_b(I_b)))`, evaluated as
+    /// `Re[FFT_n(conj(pad(FFT_b(I_b))))]/b²` on the real-input plans.
+    ///
+    /// Exact when the image's spectrum lies strictly inside `±b/2`, as
+    /// every SOCS intensity (support `±2·max_bin`) does.
+    pub(crate) fn expand_from_band(&self, band: &[f64], out: &mut [f64]) -> Result<(), LithoError> {
+        let (n, b) = (self.size(), self.band());
+        let scale = 1.0 / (b * b) as f64;
+        let mut band_spectrum = self.band_fields.take(b * b);
+        self.band_rplan.forward_into(band, &mut band_spectrum)?;
+        let mut padded = self.grid_fields.take(n * n);
+        band::pad(&band_spectrum, b, &mut padded, n, |z| z.conj() * scale);
+        self.band_fields.put(band_spectrum);
+        let done = self.rplan.forward_re_into(&padded, out);
+        self.grid_fields.put(padded);
+        Ok(done?)
+    }
+
+    /// The `±b/2` band of a full-grid real signal, sampled on the band
+    /// grid (`b < n`): `Re[FFT_b(conj(crop(FFT_n(g))))]/n²`.
+    ///
+    /// The adjoint multiplies this with `conj(E_k)` and reads the result
+    /// only on the pupil bins (`±max_bin`), which see dL/dI frequencies up
+    /// to `±2·max_bin` — all inside the band — while the wrap-around of
+    /// the product lands at least `b/2 − max_bin > max_bin` bins away.
+    pub(crate) fn crop_to_band(&self, grid: &[f64], out: &mut [f64]) -> Result<(), LithoError> {
+        let (n, b) = (self.size(), self.band());
+        let scale = 1.0 / (n * n) as f64;
+        let mut spectrum = self.grid_fields.take(n * n);
+        self.rplan.forward_into(grid, &mut spectrum)?;
+        let mut band_spectrum = self.band_fields.take(b * b);
+        band::crop(&spectrum, n, &mut band_spectrum, b, |z| z.conj() * scale);
+        self.grid_fields.put(spectrum);
+        let done = self.band_rplan.forward_re_into(&band_spectrum, out);
+        self.band_fields.put(band_spectrum);
+        Ok(done?)
+    }
+
+    /// `out = Re[FFT_n(acc)]` for a band-grid spectral accumulator: the
+    /// accumulator is zero-padded onto the full grid first (`b < n`).
+    pub(crate) fn grid_from_band_spectrum(
+        &self,
+        acc: &[Complex],
+        out: &mut [f64],
+    ) -> Result<(), LithoError> {
+        let (n, b) = (self.size(), self.band());
+        if b == n {
+            return Ok(self.rplan.forward_re_into(acc, out)?);
+        }
+        let mut padded = self.grid_fields.take(n * n);
+        band::pad(acc, b, &mut padded, n, |z| z);
+        let done = self.rplan.forward_re_into(&padded, out);
+        self.grid_fields.put(padded);
+        Ok(done?)
     }
 
     /// Aerial image from a precomputed mask spectrum.
@@ -204,16 +320,7 @@ impl LithoSimulator {
     }
 
     /// Shared SOCS intensity accumulation:
-    /// `scale · Σ_k μ_k |IFFT(H_k ⊙ spectrum)|²`.
-    ///
-    /// One **flat** parallel region spans the kernels — each task runs its
-    /// IFFT serially on its claimed thread (no nested regions to thrash the
-    /// pool) in a pooled field buffer (no per-kernel allocations). Kernel
-    /// partials merge into the single accumulator through an ordered
-    /// turnstile, strictly in kernel order, so the floating-point sum is
-    /// **bit-identical** between serial (`CFAOPC_THREADS=1`) and parallel
-    /// runs. Claims are handed out in increasing `k`, so turnstile waits
-    /// are short in practice.
+    /// `scale · Σ_k μ_k |IFFT(H_k ⊙ spectrum)|²` on the full grid.
     pub(crate) fn accumulate_intensity(
         &self,
         set: &KernelSet,
@@ -225,15 +332,10 @@ impl LithoSimulator {
     }
 
     /// Batched variant of [`LithoSimulator::accumulate_intensity`]: all
-    /// corners' kernel applications share **one** flat parallel region.
-    ///
-    /// Task `t` maps to (stack `s`, kernel `k`) in stack-major,
-    /// kernel-ascending order, and the turnstile orders merges by the
-    /// global task index. Each per-stack accumulator therefore still sees
-    /// its own kernels strictly in ascending `k` — the same summation
-    /// order as three separate calls — so batching is bit-identical to
-    /// the per-corner path while keeping every worker busy across corner
-    /// boundaries.
+    /// corners' kernel applications share **one** flat parallel region
+    /// on the band grid (see [`LithoSimulator::band_intensities`]); each
+    /// stack's band image is then interpolated onto the full grid. At
+    /// `band = size` the band images are the outputs themselves.
     ///
     /// When `kernel_energy_floor < 1.0` the tail of each (weight-sorted)
     /// stack is skipped per [`KernelSet::active_count`].
@@ -251,14 +353,66 @@ impl LithoSimulator {
             )));
         }
         assert!(stacks.len() <= 3, "at most one stack per process corner");
+        let images: Vec<Vec<f64>> = stacks.iter().map(|_| vec![0.0f64; n2]).collect();
+        let b = self.band();
+        if b == n {
+            return Ok(self.band_intensities(stacks, spectrum, images));
+        }
+        let mut band_images: [Vec<f64>; 3] = Default::default();
+        for image in &mut band_images[..stacks.len()] {
+            *image = self.band_reals.take_zeroed(b * b);
+        }
+        let band_images = self.with_band_spectrum(spectrum, |band| {
+            self.band_intensities(stacks, band, band_images)
+        });
+        let expanded = self.expand_images(&band_images[..stacks.len()], images);
+        for image in band_images.into_iter().take(stacks.len()) {
+            self.band_reals.put(image);
+        }
+        expanded
+    }
+
+    /// [`LithoSimulator::expand_from_band`] of each band image into its
+    /// full-grid output.
+    fn expand_images(
+        &self,
+        band_images: &[Vec<f64>],
+        mut images: Vec<Vec<f64>>,
+    ) -> Result<Vec<Vec<f64>>, LithoError> {
+        for (band, image) in band_images.iter().zip(&mut images) {
+            self.expand_from_band(band, image)?;
+        }
+        Ok(images)
+    }
+
+    /// Adds `scale_s · Σ_k μ_k |IFFT_b(H_k ⊙ band_spectrum)|²` into
+    /// `images[s]` for every stack `s`, on the band grid.
+    ///
+    /// One **flat** parallel region spans every stack's kernels — each
+    /// task runs its IFFT serially on its claimed thread (no nested
+    /// regions to thrash the pool) in a pooled field buffer (no
+    /// per-kernel allocations). Task `t` maps to (stack `s`, kernel `k`)
+    /// in stack-major, kernel-ascending order, and partials merge through
+    /// an ordered turnstile by the global task index, so each accumulator
+    /// sees its kernels strictly in ascending `k`: the floating-point sum
+    /// is **bit-identical** between serial (`CFAOPC_THREADS=1`) and
+    /// parallel runs, and batching corners changes no bit. Claims are
+    /// handed out in increasing `t`, so turnstile waits are short.
+    fn band_intensities<A: AsMut<[Vec<f64>]> + Send>(
+        &self,
+        stacks: &[(&KernelSet, f64)],
+        band_spectrum: &[Complex],
+        images: A,
+    ) -> A {
+        let b2 = self.band() * self.band();
         let floor = self.config.kernel_energy_floor;
         // offsets[s] is the first global task of stack s (prefix sums).
         let mut offsets = [0usize; 4];
         for (s, (set, _)) in stacks.iter().enumerate() {
+            debug_assert_eq!(set.band(), self.band(), "kernel set built for another band");
             offsets[s + 1] = offsets[s] + set.active_count(floor);
         }
         let total = offsets[stacks.len()];
-        let images: Vec<Vec<f64>> = stacks.iter().map(|_| vec![0.0f64; n2]).collect();
         // (next task allowed to merge, per-stack accumulators) under one
         // lock.
         let merge = Mutex::new((0usize, images));
@@ -273,12 +427,12 @@ impl LithoSimulator {
             // Catching here keeps a panicking kernel from wedging the
             // turnstile: the turn advances no matter how compute ends.
             let computed = catch_unwind(AssertUnwindSafe(|| {
-                let mut field = self.field_pool.take(n2);
-                set.apply(k, spectrum, &mut field);
+                let mut field = self.band_fields.take(b2);
+                set.apply(k, band_spectrum, &mut field);
                 // Kernel spectra are band-limited to the pupil, so most
                 // rows of the product are all-zero: the sparse inverse
                 // skips them.
-                self.plan
+                self.band_plan
                     .inverse_serial_sparse(&mut field)
                     .expect("plan matches grid by construction");
                 field
@@ -289,18 +443,18 @@ impl LithoSimulator {
                 guard = turnstile.wait(guard).unwrap_or_else(|e| e.into_inner());
             }
             if let Ok(field) = &computed {
-                accumulate_norm_sqr(&mut guard.1[s], field, w);
+                accumulate_norm_sqr(&mut guard.1.as_mut()[s], field, w);
             }
             guard.0 += 1;
             turnstile.notify_all();
             drop(guard);
             match computed {
-                Ok(field) => self.field_pool.put(field),
+                Ok(field) => self.band_fields.put(field),
                 Err(payload) => resume_unwind(payload),
             }
         });
         let (_, images) = merge.into_inner().unwrap_or_else(|e| e.into_inner());
-        Ok(images)
+        images
     }
 
     /// Aerial image of a continuous mask at one corner.
@@ -331,8 +485,9 @@ impl LithoSimulator {
             (&self.max, self.config.dose(ProcessCorner::Max)),
             (&self.min, self.config.dose(ProcessCorner::Min)),
         ];
-        let mut images = self.accumulate_intensity_multi(&stacks, &spectrum)?;
-        self.field_pool.put(spectrum);
+        let images = self.accumulate_intensity_multi(&stacks, &spectrum);
+        self.put_spectrum(spectrum);
+        let mut images = images?;
         let min = Grid2D::from_vec(n, n, images.pop().unwrap_or_default());
         let max = Grid2D::from_vec(n, n, images.pop().unwrap_or_default());
         let nominal = Grid2D::from_vec(n, n, images.pop().unwrap_or_default());

@@ -31,7 +31,28 @@ fn aerial_images_are_bit_identical_serial_vs_parallel() {
     std::env::set_var("CFAOPC_THREADS", "4");
     assert_eq!(worker_count(), 4, "CFAOPC_THREADS must win at pool setup");
 
-    let sim = LithoSimulator::new(LithoConfig::fast_test()).unwrap();
+    for sim in sims() {
+        aerial_images_match(&sim);
+    }
+}
+
+/// The 64² test grid (band grid = full grid) and a 256² one, where the
+/// fields run on the 128² band grid and every intensity and dL/dI moves
+/// between the grids.
+fn sims() -> [LithoSimulator; 2] {
+    let at = |size| {
+        LithoSimulator::new(LithoConfig {
+            size,
+            ..LithoConfig::fast_test()
+        })
+        .unwrap()
+    };
+    let sims = [at(64), at(256)];
+    assert_eq!((sims[0].band(), sims[1].band()), (64, 128));
+    sims
+}
+
+fn aerial_images_match(sim: &LithoSimulator) {
     let mask = test_mask(sim.size());
 
     for corner in ProcessCorner::ALL {
@@ -76,7 +97,12 @@ fn loss_and_gradient_is_bit_identical_serial_vs_parallel() {
     std::env::set_var("CFAOPC_THREADS", "4");
     assert_eq!(worker_count(), 4, "CFAOPC_THREADS must win at pool setup");
 
-    let sim = LithoSimulator::new(LithoConfig::fast_test()).unwrap();
+    for sim in sims() {
+        loss_and_gradient_match(&sim);
+    }
+}
+
+fn loss_and_gradient_match(sim: &LithoSimulator) {
     let n = sim.size();
     let mask = test_mask(n);
     let mut target = BitGrid::new(n, n);
@@ -96,9 +122,9 @@ fn loss_and_gradient_is_bit_identical_serial_vs_parallel() {
         LossWeights { l2: 1.0, pvb: 0.0 },
         LossWeights { l2: 0.0, pvb: 2.0 },
     ] {
-        let (pv, pg) = loss_and_gradient(&sim, &mask, &target, weights).unwrap();
+        let (pv, pg) = loss_and_gradient(sim, &mask, &target, weights).unwrap();
         let (sv, sg) = with_worker_limit(1, || {
-            loss_and_gradient(&sim, &mask, &target, weights).unwrap()
+            loss_and_gradient(sim, &mask, &target, weights).unwrap()
         });
         assert_eq!(pv.total.to_bits(), sv.total.to_bits());
         assert_eq!(pv.l2.to_bits(), sv.l2.to_bits());
