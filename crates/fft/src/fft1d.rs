@@ -22,6 +22,16 @@ pub enum FftError {
         /// Length of the buffer that was provided.
         actual: usize,
     },
+    /// A band edge passed to a band-pruned transform exceeds the plan's
+    /// grid.
+    BandTooLarge {
+        /// The requested band edge.
+        band: usize,
+        /// Plan height.
+        height: usize,
+        /// Plan width.
+        width: usize,
+    },
 }
 
 impl fmt::Display for FftError {
@@ -35,6 +45,13 @@ impl fmt::Display for FftError {
                     f,
                     "buffer length {actual} does not match plan length {expected}"
                 )
+            }
+            FftError::BandTooLarge {
+                band,
+                height,
+                width,
+            } => {
+                write!(f, "band {band} exceeds the {height}x{width} grid")
             }
         }
     }

@@ -19,11 +19,17 @@
 //! real output rows are then recovered from each packed complex row
 //! transform.
 //!
-//! The full complex spectrum is always materialized on output so sparse
-//! spectral consumers (the SOCS kernel supports index the full grid) need
-//! no layout changes. Every output cell is computed by exactly one task
-//! and no cross-task reductions occur, so results are **bit-identical
-//! across worker counts**.
+//! Both directions also come **band-pruned**: [`Rfft2d::forward_band_into`]
+//! writes only the `b × b` low-frequency band of the spectrum, and
+//! [`Rfft2d::forward_re_from_band`] reads only such a band (zero
+//! elsewhere). Either way just `b/2 + 1` of the `w/2 + 1` half-spectrum
+//! columns are column-transformed, and no full complex spectrum is ever
+//! built. The full-grid entry points are the `b = n` calls of the same
+//! code.
+//!
+//! Every output cell is computed by exactly one task and no cross-task
+//! reductions occur, so results are **bit-identical across worker
+//! counts**.
 
 use crate::complex::Complex;
 use crate::fft1d::{Fft, FftError};
@@ -128,10 +134,20 @@ impl Rfft2d {
     }
 
     fn check(&self, actual: usize) -> Result<(), FftError> {
-        if actual != self.len() {
-            return Err(FftError::LengthMismatch {
-                expected: self.len(),
-                actual,
+        check_len(self.len(), actual)
+    }
+
+    /// Rejects a band edge that is not a power of two or exceeds either
+    /// grid edge.
+    fn check_band(&self, b: usize) -> Result<(), FftError> {
+        if !b.is_power_of_two() {
+            return Err(FftError::LengthNotPowerOfTwo(b));
+        }
+        if b > self.height || b > self.width {
+            return Err(FftError::BandTooLarge {
+                band: b,
+                height: self.height,
+                width: self.width,
             });
         }
         Ok(())
@@ -150,22 +166,85 @@ impl Rfft2d {
     /// Returns [`FftError::LengthMismatch`] if `src` or `out` is not
     /// `height·width` long.
     pub fn forward_into(&self, src: &[f64], out: &mut [Complex]) -> Result<(), FftError> {
+        self.forward_band(src, (self.height, self.width), out, &|z| z)
+    }
+
+    /// `out = f(crop_b(FFT(src)))`: the `b × b` band of a real field's
+    /// spectrum (signed frequencies `[−b/2, b/2)` per axis, in the band
+    /// grid's own FFT order), computed without the full spectrum.
+    ///
+    /// Only the `b/2 + 1` low columns of the half spectrum are unpacked
+    /// from the row pass and column-transformed; band columns above the
+    /// Nyquist bin are read by Hermitian mirror. At `b = n` this is
+    /// [`Rfft2d::forward_into`] followed by `f`, bit for bit, and it is
+    /// bit-identical across worker counts.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FftError::LengthNotPowerOfTwo`] if `b` is not a power of
+    /// two, [`FftError::BandTooLarge`] if it exceeds a grid edge, and
+    /// [`FftError::LengthMismatch`] if `src` is not `height·width` or
+    /// `out` not `b·b` long.
+    pub fn forward_band_into<F>(
+        &self,
+        src: &[f64],
+        b: usize,
+        out: &mut [Complex],
+        f: F,
+    ) -> Result<(), FftError>
+    where
+        F: Fn(Complex) -> Complex + Sync,
+    {
+        self.check_band(b)?;
+        self.forward_band(src, (b, b), out, &f)
+    }
+
+    /// [`Rfft2d::forward_band_into`] for a `by × bx` band.
+    fn forward_band<F>(
+        &self,
+        src: &[f64],
+        (by, bx): (usize, usize),
+        out: &mut [Complex],
+        f: &F,
+    ) -> Result<(), FftError>
+    where
+        F: Fn(Complex) -> Complex + Sync,
+    {
         self.check(src.len())?;
-        self.check(out.len())?;
+        check_len(by * bx, out.len())?;
         cfaopc_trace::counters::FFT_2D.incr();
         let (h, w) = (self.height, self.width);
         if h < 2 || w < 2 {
-            for (slot, &v) in out.iter_mut().zip(src) {
+            let mut full = self.col_scratch.take(h * w);
+            for (slot, &v) in full.iter_mut().zip(src) {
                 *slot = Complex::from_re(v);
             }
-            return self.fallback.forward(out);
+            let done = self.fallback.forward(&mut full);
+            for (ky, row) in out.chunks_exact_mut(bx).enumerate() {
+                let from = &full[grid_bin(ky, by, h) * w..][..w];
+                for (kx, slot) in row.iter_mut().enumerate() {
+                    *slot = f(from[grid_bin(kx, bx, w)]);
+                }
+            }
+            self.col_scratch.put(full);
+            return done;
         }
         let wh = w / 2 + 1;
+        // Columns 0..=bx/2 of the half spectrum hold every band column,
+        // directly or by mirror.
+        let cw = bx / 2 + 1;
 
-        // Row pass: rows (2p, 2p+1) share one complex transform.
+        // Row pass: rows (2p, 2p+1) share one complex transform, and only
+        // the `cw` needed bins are unpacked, row-major: into `out` itself
+        // when it has room (the full spectrum), else into pooled scratch.
         let row_fft = &self.row_fft;
         let row_scratch = &self.row_scratch;
-        par_chunks_mut(out, 2 * w, |p, chunk| {
+        let mut pooled = (out.len() < h * cw).then(|| self.col_scratch.take(h * cw));
+        let rows: &mut [Complex] = match pooled.as_mut() {
+            Some(buf) => buf,
+            None => &mut out[..h * cw],
+        };
+        par_chunks_mut(rows, 2 * cw, |p, chunk| {
             let r0 = 2 * p * w;
             let r1 = r0 + w;
             let mut buf = row_scratch.take(w);
@@ -175,49 +254,50 @@ impl Rfft2d {
             row_fft
                 .forward(&mut buf)
                 .expect("row length matches plan by construction");
-            for k in 0..w {
+            for k in 0..cw {
                 let z = buf[k];
                 let zm = buf[(w - k) % w].conj();
                 // F₀ = (Z + conj(Z(−k)))/2, F₁ = (Z − conj(Z(−k)))/(2i).
                 chunk[k] = Complex::new((z.re + zm.re) * 0.5, (z.im + zm.im) * 0.5);
-                chunk[w + k] = Complex::new((z.im - zm.im) * 0.5, (zm.re - z.re) * 0.5);
+                chunk[cw + k] = Complex::new((z.im - zm.im) * 0.5, (zm.re - z.re) * 0.5);
             }
             row_scratch.put(buf);
         });
 
-        // Column pass over the non-redundant columns only, in column-major
-        // scratch (gather → transform → scatter).
-        let mut cols = self.col_scratch.take(wh * h);
+        // Column pass over those columns only, in column-major scratch.
+        let mut cols = self.col_scratch.take(cw * h);
         {
             let col_fft = &self.col_fft;
-            let rows_done: &[Complex] = out;
+            let rows_done: &[Complex] = rows;
             par_chunks_mut(&mut cols, h, |c, col| {
                 for (y, slot) in col.iter_mut().enumerate() {
-                    *slot = rows_done[y * w + c];
+                    *slot = rows_done[y * cw + c];
                 }
                 col_fft
                     .forward(col)
                     .expect("column length matches plan by construction");
             });
         }
+        if let Some(buf) = pooled {
+            self.col_scratch.put(buf);
+        }
+
+        // Gather: grid columns up to the Nyquist bin are read directly,
+        // the rest by S(ky,kx) = conj(S(−ky,−kx)).
         let cols_ro: &[Complex] = &cols;
-        par_chunks_mut(out, w, |y, row| {
-            for (c, slot) in row[..wh].iter_mut().enumerate() {
-                *slot = cols_ro[c * h + y];
+        par_chunks_mut(out, bx, |ky, row| {
+            let gy = grid_bin(ky, by, h);
+            let my = (h - gy) % h;
+            for (kx, slot) in row.iter_mut().enumerate() {
+                let gx = grid_bin(kx, bx, w);
+                *slot = f(if gx < wh {
+                    cols_ro[gx * h + gy]
+                } else {
+                    cols_ro[(w - gx) * h + my].conj()
+                });
             }
         });
         self.col_scratch.put(cols);
-
-        // Hermitian fill of the redundant half: S(ky,kx) = conj(S(−ky,−kx)).
-        // Reads stay in columns < wh (already final), writes in columns
-        // ≥ wh — disjoint, so fill order is irrelevant.
-        for ky in 0..h {
-            let mirror_row = ((h - ky) % h) * w;
-            for kx in wh..w {
-                let v = out[mirror_row + (w - kx)].conj();
-                out[ky * w + kx] = v;
-            }
-        }
         Ok(())
     }
 
@@ -235,35 +315,96 @@ impl Rfft2d {
     /// Returns [`FftError::LengthMismatch`] if `freq` or `out` is not
     /// `height·width` long.
     pub fn forward_re_into(&self, freq: &[Complex], out: &mut [f64]) -> Result<(), FftError> {
-        self.check(freq.len())?;
+        self.re_from_band(freq, (self.height, self.width), out, &|z| z)
+    }
+
+    /// `out = Re[FFT(pad_n(f(band)))]`: [`Rfft2d::forward_re_into`] of a
+    /// `b × b` band spectrum (same bin order as
+    /// [`Rfft2d::forward_band_into`]) zero-padded onto the full grid,
+    /// without building the padded spectrum.
+    ///
+    /// Only the `b/2 + 1` low columns can be nonzero after the Hermitian
+    /// projection, so only they are column-transformed; the row pass
+    /// reads zeros for the rest. At `b = n` this is `forward_re_into` of
+    /// `f(band)`, bit for bit, and it is bit-identical across worker
+    /// counts.
+    ///
+    /// # Errors
+    ///
+    /// As [`Rfft2d::forward_band_into`], with `band` the `b·b` input and
+    /// `out` the `height·width` output.
+    pub fn forward_re_from_band<F>(
+        &self,
+        band: &[Complex],
+        b: usize,
+        out: &mut [f64],
+        f: F,
+    ) -> Result<(), FftError>
+    where
+        F: Fn(Complex) -> Complex + Sync,
+    {
+        self.check_band(b)?;
+        self.re_from_band(band, (b, b), out, &f)
+    }
+
+    /// [`Rfft2d::forward_re_from_band`] for a `by × bx` band.
+    fn re_from_band<F>(
+        &self,
+        band: &[Complex],
+        (by, bx): (usize, usize),
+        out: &mut [f64],
+        f: &F,
+    ) -> Result<(), FftError>
+    where
+        F: Fn(Complex) -> Complex + Sync,
+    {
+        check_len(by * bx, band.len())?;
         self.check(out.len())?;
         cfaopc_trace::counters::FFT_2D.incr();
         let (h, w) = (self.height, self.width);
         if h < 2 || w < 2 {
             let mut buf = self.col_scratch.take(h * w);
-            buf.copy_from_slice(freq);
-            self.fallback.forward(&mut buf)?;
+            for (i, slot) in buf.iter_mut().enumerate() {
+                *slot = match (band_bin(i / w, by, h), band_bin(i % w, bx, w)) {
+                    (Some(ky), Some(kx)) => f(band[ky * bx + kx]),
+                    _ => Complex::ZERO,
+                };
+            }
+            let done = self.fallback.forward(&mut buf);
             for (slot, z) in out.iter_mut().zip(&buf) {
                 *slot = z.re;
             }
             self.col_scratch.put(buf);
-            return Ok(());
+            return done;
         }
         let wh = w / 2 + 1;
+        let cw = bx / 2 + 1;
 
-        // Hermitian projection + column transform, non-redundant columns
-        // only. The projected input has the 2-D symmetry, and the column
-        // DFT turns it into rows that are Hermitian in kx (substituting
-        // ky → −ky in the column sum conjugates the result and mirrors
-        // kx), so the redundant columns are recoverable by conjugation.
-        let mut cols = self.col_scratch.take(wh * h);
+        // Hermitian projection + column transform over columns
+        // 0..=bx/2 only: every other column of the padded spectrum and of
+        // its mirror is zero. The projected input has the 2-D symmetry,
+        // and the column DFT turns it into rows that are Hermitian in kx
+        // (substituting ky → −ky in the column sum conjugates the result
+        // and mirrors kx), so the redundant columns are recoverable by
+        // conjugation.
+        let mut cols = self.col_scratch.take(cw * h);
         {
             let col_fft = &self.col_fft;
             par_chunks_mut(&mut cols, h, |c, col| {
-                let wc = (w - c) % w;
+                let (kc, km) = (band_bin(c, bx, w), band_bin((w - c) % w, bx, w));
                 for (ky, slot) in col.iter_mut().enumerate() {
-                    let z = freq[ky * w + c];
-                    let zm = freq[((h - ky) % h) * w + wc].conj();
+                    // Bins of f(band) zero-padded onto the grid: (ky, c)
+                    // and its mirror (−ky, −c).
+                    let my = if ky == 0 { 0 } else { h - ky };
+                    let z = match (band_bin(ky, by, h), kc) {
+                        (Some(r), Some(k)) => f(band[r * bx + k]),
+                        _ => Complex::ZERO,
+                    };
+                    let zm = match (band_bin(my, by, h), km) {
+                        (Some(r), Some(k)) => f(band[r * bx + k]),
+                        _ => Complex::ZERO,
+                    }
+                    .conj();
                     *slot = Complex::new((z.re + zm.re) * 0.5, (z.im + zm.im) * 0.5);
                 }
                 col_fft
@@ -275,7 +416,7 @@ impl Rfft2d {
         // Row pass: each transformed row is Hermitian in kx, so its row
         // DFT is real; packing rows (2p, 2p+1) as D = C(y₀) + i·C(y₁)
         // makes one transform yield both real output rows (real part →
-        // y₀, imaginary part → y₁).
+        // y₀, imaginary part → y₁). Columns past `cw` are zero.
         let cols_ro: &[Complex] = &cols;
         let row_fft = &self.row_fft;
         let row_scratch = &self.row_scratch;
@@ -285,6 +426,10 @@ impl Rfft2d {
             let mut buf = row_scratch.take(w);
             for (k, slot) in buf.iter_mut().enumerate() {
                 let (cs, mirror) = if k < wh { (k, false) } else { (w - k, true) };
+                if cs >= cw {
+                    *slot = Complex::ZERO;
+                    continue;
+                }
                 let mut c0 = cols_ro[cs * h + y0];
                 let mut c1 = cols_ro[cs * h + y1];
                 if mirror {
@@ -305,6 +450,36 @@ impl Rfft2d {
         self.col_scratch.put(cols);
         Ok(())
     }
+}
+
+/// Grid bin of band bin `k` along an `n`-bin axis holding a `b`-bin band:
+/// signed frequency `k` for `2k < b`, else `k − b`.
+#[inline]
+fn grid_bin(k: usize, b: usize, n: usize) -> usize {
+    if 2 * k < b {
+        k
+    } else {
+        k + n - b
+    }
+}
+
+/// Inverse of [`grid_bin`]: the band bin of grid bin `g`, if in the band.
+#[inline]
+fn band_bin(g: usize, b: usize, n: usize) -> Option<usize> {
+    if 2 * g < b {
+        Some(g)
+    } else if g + b / 2 >= n {
+        Some(g + b - n)
+    } else {
+        None
+    }
+}
+
+fn check_len(expected: usize, actual: usize) -> Result<(), FftError> {
+    if actual != expected {
+        return Err(FftError::LengthMismatch { expected, actual });
+    }
+    Ok(())
 }
 
 #[cfg(test)]

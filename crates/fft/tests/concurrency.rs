@@ -36,6 +36,7 @@ fn pool_guarantees_with_forced_four_workers() {
 
     serial_and_parallel_transforms_are_bit_identical();
     rfft_transforms_are_worker_count_invariant();
+    band_transforms_are_worker_count_invariant();
     steady_state_spawns_no_new_threads();
     panics_cross_the_pool_boundary();
 }
@@ -88,6 +89,41 @@ fn rfft_transforms_are_worker_count_invariant() {
     let tol = peak * f64::EPSILON * 8.0 * ((N * N) as f64).log2();
     for (a, b) in full.iter().zip(&want) {
         assert!((*a - *b).abs() <= tol, "{a:?} vs {b:?} (tol {tol})");
+    }
+}
+
+fn band_transforms_are_worker_count_invariant() {
+    // The band-pruned pair partitions its passes the same way, so the
+    // bits may not depend on the worker limit either.
+    const B: usize = 16;
+    let rplan = Rfft2d::square(N).unwrap();
+    let reals: Vec<f64> = (0..N * N).map(|i| (i as f64 * 0.23).cos()).collect();
+    let scale = |z: Complex| z.conj() * 0.5;
+    let mut bands = Vec::new();
+    let mut images = Vec::new();
+    for limit in [1usize, 2, 4] {
+        let mut band = vec![Complex::ZERO; B * B];
+        let mut image = vec![0.0f64; N * N];
+        with_worker_limit(limit, || {
+            rplan
+                .forward_band_into(&reals, B, &mut band, scale)
+                .unwrap();
+            rplan
+                .forward_re_from_band(&band, B, &mut image, scale)
+                .unwrap();
+        });
+        bands.push(bits(&band));
+        images.push(image.iter().map(|v| v.to_bits()).collect::<Vec<u64>>());
+    }
+    for i in 1..3 {
+        assert_eq!(
+            bands[0], bands[i],
+            "forward_band_into depends on the worker limit"
+        );
+        assert_eq!(
+            images[0], images[i],
+            "forward_re_from_band depends on the worker limit"
+        );
     }
 }
 

@@ -112,10 +112,11 @@ pub fn loss_and_gradient(
 /// here. [`loss_and_gradient`] is the convenience wrapper that allocates
 /// a fresh grid per call.
 ///
-/// The per-kernel fields and their adjoint transforms run on the band
-/// grid ([`LithoSimulator::band`]); per corner, one transform pair
-/// carries the intensity onto the full grid for the resist and one
-/// carries dL/dI back onto the band grid.
+/// The mask spectrum, the per-kernel fields and their adjoint transforms
+/// run on the band grid ([`LithoSimulator::band`]); per corner, one
+/// transform pair carries the intensity onto the full grid for the resist
+/// and one carries dL/dI back onto the band grid. Every full-grid
+/// transform is band-pruned, so no full-grid spectrum is ever built.
 ///
 /// # Errors
 ///
@@ -136,9 +137,12 @@ pub fn loss_and_gradient_into(
             actual: (target.width(), target.height()),
         });
     }
-    let spectrum = sim.mask_spectrum_pooled(mask)?;
-    let fields = sim.with_band_spectrum(&spectrum, |band| forward_fields(sim, weights, band));
-    sim.put_spectrum(spectrum);
+    let b = sim.band();
+    let mut spectrum = sim.band_fields().take(b * b);
+    let fields = sim
+        .mask_spectrum_into(mask, &mut spectrum)
+        .and_then(|()| forward_fields(sim, weights, &spectrum));
+    sim.band_fields().put(spectrum);
     let fields = fields?;
     if grad.width() != n || grad.height() != n {
         *grad = Grid2D::new(n, n, 0.0);

@@ -1,7 +1,6 @@
 //! The forward lithography model: Hopkins aerial image (Eq. 1) and the
 //! threshold / sigmoid resist (Eq. 2).
 
-use crate::band;
 use crate::config::{LithoConfig, LithoError, ProcessCorner};
 use crate::kernels::KernelSet;
 use cfaopc_fft::parallel::par_for;
@@ -36,10 +35,11 @@ impl CornerImages {
 /// A reusable lithography simulator: FFT plans plus per-corner SOCS
 /// kernel stacks for a fixed grid size.
 ///
-/// The kernels and every per-kernel field live on the optics' **band
-/// grid** of [`LithoSimulator::band`] pixels (see [`KernelSet::band`]);
-/// only the mask spectrum, the per-corner intensities and dL/dI, and the
-/// final gradient touch the full grid.
+/// The kernels, the mask spectrum and every per-kernel field live on the
+/// optics' **band grid** of [`LithoSimulator::band`] pixels (see
+/// [`KernelSet::band`]); only the real mask, the per-corner intensities
+/// and dL/dI, and the final gradient touch the full grid, through
+/// band-pruned real transforms that never build a full-grid spectrum.
 ///
 /// # Examples
 ///
@@ -64,8 +64,8 @@ pub struct LithoSimulator {
     config: LithoConfig,
     /// Real-input plan on the full grid: the mask spectrum, the band
     /// moves of the intensity and dL/dI, and the gradient's final
-    /// `Re[FFT(·)]` — all touch only real data on one side, so the
-    /// Hermitian-symmetry plan halves their transform work.
+    /// `Re[FFT(·)]` — all real on the grid side and band-limited on the
+    /// other, so they run as band-pruned transforms.
     rplan: Rfft2d,
     /// Complex plan on the band grid: the per-kernel field transforms.
     band_plan: Fft2d,
@@ -76,13 +76,12 @@ pub struct LithoSimulator {
     max: KernelSet,
     min: KernelSet,
     /// Recycled band-grid complex buffers: per-kernel fields (shared with
-    /// the adjoint pass), band spectra and the spectral gradient, so the
-    /// steady-state model performs no per-call field allocations.
+    /// the adjoint pass), the mask and band spectra and the spectral
+    /// gradient, so the steady-state model performs no per-call field
+    /// allocations.
     band_fields: BufferPool<Complex>,
     /// Recycled band-grid real buffers: band intensities and dL/dI.
     band_reals: BufferPool<f64>,
-    /// Recycled full-grid complex buffers: mask and padded spectra.
-    grid_fields: BufferPool<Complex>,
     /// Recycled full-grid real buffers: per-corner intensity and dL/dI.
     grid_reals: BufferPool<f64>,
 }
@@ -101,13 +100,13 @@ impl LithoSimulator {
         let nominal = KernelSet::generate(&config, ProcessCorner::Nominal)?;
         let b = nominal.band();
         let band_plan = Fft2d::square(b).map_err(|_| LithoError::BadGridSize(b))?;
-        let (grid_fields, grid_reals) = (BufferPool::new(), BufferPool::new());
-        // One grid means one buffer shape: share the pools and the plan.
-        let (band_rplan, band_fields, band_reals) = if b == n {
-            (rplan.clone(), grid_fields.clone(), grid_reals.clone())
+        let grid_reals = BufferPool::new();
+        // One grid means one buffer shape: share the pool and the plan.
+        let (band_rplan, band_reals) = if b == n {
+            (rplan.clone(), grid_reals.clone())
         } else {
             let band_rplan = Rfft2d::square(b).map_err(|_| LithoError::BadGridSize(b))?;
-            (band_rplan, BufferPool::new(), BufferPool::new())
+            (band_rplan, BufferPool::new())
         };
         Ok(LithoSimulator {
             max: KernelSet::generate(&config, ProcessCorner::Max)?,
@@ -117,9 +116,8 @@ impl LithoSimulator {
             band_plan,
             band_rplan,
             config,
-            band_fields,
+            band_fields: BufferPool::new(),
             band_reals,
-            grid_fields,
             grid_reals,
         })
     }
@@ -188,56 +186,37 @@ impl LithoSimulator {
         Ok(())
     }
 
-    /// Forward FFT of a real-valued mask via the Hermitian-symmetry
-    /// real-input plan (half the row transforms of the complex plan).
+    /// The mask spectrum on the band grid: the `[-b/2, b/2)` band of the
+    /// mask's full-grid FFT, scaled by `(b/n)²` so that band-grid inverse
+    /// transforms *sample* the full-grid ones (`IFFT` normalises by the
+    /// grid's pixel count). It has [`LithoSimulator::band`]`²` entries,
+    /// in the band grid's FFT order, and is computed by a band-pruned
+    /// real-input transform without the full-grid spectrum.
     ///
     /// # Errors
     ///
     /// Returns [`LithoError::ShapeMismatch`] when the mask shape differs
     /// from the simulator grid.
     pub fn mask_spectrum(&self, mask: &Grid2D<f64>) -> Result<Vec<Complex>, LithoError> {
-        self.check_mask(mask)?;
-        let mut spectrum = vec![Complex::ZERO; mask.as_slice().len()];
-        self.rplan.forward_into(mask.as_slice(), &mut spectrum)?;
+        let b = self.band();
+        let mut spectrum = vec![Complex::ZERO; b * b];
+        self.mask_spectrum_into(mask, &mut spectrum)?;
         Ok(spectrum)
     }
 
-    /// [`LithoSimulator::mask_spectrum`] into a pooled buffer; return it
-    /// with [`LithoSimulator::put_spectrum`] when done.
-    pub(crate) fn mask_spectrum_pooled(
+    /// [`LithoSimulator::mask_spectrum`] into a caller-owned `band²`
+    /// buffer.
+    pub(crate) fn mask_spectrum_into(
         &self,
         mask: &Grid2D<f64>,
-    ) -> Result<Vec<Complex>, LithoError> {
+        spectrum: &mut [Complex],
+    ) -> Result<(), LithoError> {
         self.check_mask(mask)?;
-        let mut spectrum = self.grid_fields.take(mask.as_slice().len());
-        self.rplan.forward_into(mask.as_slice(), &mut spectrum)?;
-        Ok(spectrum)
-    }
-
-    /// Returns a [`LithoSimulator::mask_spectrum_pooled`] buffer.
-    pub(crate) fn put_spectrum(&self, spectrum: Vec<Complex>) {
-        self.grid_fields.put(spectrum);
-    }
-
-    /// Runs `f` on the band-grid crop of a full-grid spectrum, scaled by
-    /// `(b/n)²` so that band-grid inverse transforms *sample* the
-    /// full-grid ones (`IFFT` normalises by the grid's pixel count). At
-    /// `b = n` the crop is the identity and `f` sees `spectrum` itself.
-    pub(crate) fn with_band_spectrum<R>(
-        &self,
-        spectrum: &[Complex],
-        f: impl FnOnce(&[Complex]) -> R,
-    ) -> R {
         let (n, b) = (self.size(), self.band());
-        if b == n {
-            return f(spectrum);
-        }
         let scale = ((b * b) as f64) / ((n * n) as f64);
-        let mut band = self.band_fields.take(b * b);
-        band::crop(spectrum, n, &mut band, b, |z| z * scale);
-        let out = f(&band);
-        self.band_fields.put(band);
-        out
+        self.rplan
+            .forward_band_into(mask.as_slice(), b, spectrum, |z| z * scale)?;
+        Ok(())
     }
 
     /// Band-limited interpolation of a band-grid image onto the full grid
@@ -247,15 +226,17 @@ impl LithoSimulator {
     /// Exact when the image's spectrum lies strictly inside `±b/2`, as
     /// every SOCS intensity (support `±2·max_bin`) does.
     pub(crate) fn expand_from_band(&self, band: &[f64], out: &mut [f64]) -> Result<(), LithoError> {
-        let (n, b) = (self.size(), self.band());
+        let b = self.band();
         let scale = 1.0 / (b * b) as f64;
         let mut band_spectrum = self.band_fields.take(b * b);
-        self.band_rplan.forward_into(band, &mut band_spectrum)?;
-        let mut padded = self.grid_fields.take(n * n);
-        band::pad(&band_spectrum, b, &mut padded, n, |z| z.conj() * scale);
+        let done = self
+            .band_rplan
+            .forward_into(band, &mut band_spectrum)
+            .and_then(|()| {
+                self.rplan
+                    .forward_re_from_band(&band_spectrum, b, out, |z| z.conj() * scale)
+            });
         self.band_fields.put(band_spectrum);
-        let done = self.rplan.forward_re_into(&padded, out);
-        self.grid_fields.put(padded);
         Ok(done?)
     }
 
@@ -269,35 +250,28 @@ impl LithoSimulator {
     pub(crate) fn crop_to_band(&self, grid: &[f64], out: &mut [f64]) -> Result<(), LithoError> {
         let (n, b) = (self.size(), self.band());
         let scale = 1.0 / (n * n) as f64;
-        let mut spectrum = self.grid_fields.take(n * n);
-        self.rplan.forward_into(grid, &mut spectrum)?;
         let mut band_spectrum = self.band_fields.take(b * b);
-        band::crop(&spectrum, n, &mut band_spectrum, b, |z| z.conj() * scale);
-        self.grid_fields.put(spectrum);
-        let done = self.band_rplan.forward_re_into(&band_spectrum, out);
+        let done = self
+            .rplan
+            .forward_band_into(grid, b, &mut band_spectrum, |z| z.conj() * scale)
+            .and_then(|()| self.band_rplan.forward_re_into(&band_spectrum, out));
         self.band_fields.put(band_spectrum);
         Ok(done?)
     }
 
-    /// `out = Re[FFT_n(acc)]` for a band-grid spectral accumulator: the
-    /// accumulator is zero-padded onto the full grid first (`b < n`).
+    /// `out = Re[FFT_n(pad(acc))]` for a band-grid spectral accumulator.
     pub(crate) fn grid_from_band_spectrum(
         &self,
         acc: &[Complex],
         out: &mut [f64],
     ) -> Result<(), LithoError> {
-        let (n, b) = (self.size(), self.band());
-        if b == n {
-            return Ok(self.rplan.forward_re_into(acc, out)?);
-        }
-        let mut padded = self.grid_fields.take(n * n);
-        band::pad(acc, b, &mut padded, n, |z| z);
-        let done = self.rplan.forward_re_into(&padded, out);
-        self.grid_fields.put(padded);
-        Ok(done?)
+        Ok(self
+            .rplan
+            .forward_re_from_band(acc, self.band(), out, |z| z)?)
     }
 
-    /// Aerial image from a precomputed mask spectrum.
+    /// Aerial image from a precomputed band-grid mask spectrum (see
+    /// [`LithoSimulator::mask_spectrum`]).
     ///
     /// `I(x) = dose(corner) · Σ_k μ_k |IFFT(H_k ⊙ F)(x)|²` — paper Eq. 1
     /// with the corner's dose folded in. Kernels are evaluated in a single
@@ -306,7 +280,8 @@ impl LithoSimulator {
     /// # Errors
     ///
     /// Returns [`LithoError::BadParameter`] when `spectrum` does not have
-    /// `size²` entries (e.g. a spectrum computed on a different grid).
+    /// [`LithoSimulator::band`]`²` entries (e.g. a spectrum computed on a
+    /// different grid).
     pub fn aerial_from_spectrum(
         &self,
         spectrum: &[Complex],
@@ -320,7 +295,8 @@ impl LithoSimulator {
     }
 
     /// Shared SOCS intensity accumulation:
-    /// `scale · Σ_k μ_k |IFFT(H_k ⊙ spectrum)|²` on the full grid.
+    /// `scale · Σ_k μ_k |IFFT(H_k ⊙ spectrum)|²` on the full grid, from a
+    /// band-grid mask spectrum.
     pub(crate) fn accumulate_intensity(
         &self,
         set: &KernelSet,
@@ -344,27 +320,24 @@ impl LithoSimulator {
         stacks: &[(&KernelSet, f64)],
         spectrum: &[Complex],
     ) -> Result<Vec<Vec<f64>>, LithoError> {
-        let n = self.config.size;
-        let n2 = n * n;
-        if spectrum.len() != n2 {
+        let (n, b) = (self.config.size, self.band());
+        let (n2, b2) = (n * n, b * b);
+        if spectrum.len() != b2 {
             return Err(LithoError::BadParameter(format!(
-                "spectrum has {} entries but the {n}x{n} grid needs {n2}",
+                "spectrum has {} entries but the {b}x{b} band grid needs {b2}",
                 spectrum.len(),
             )));
         }
         assert!(stacks.len() <= 3, "at most one stack per process corner");
         let images: Vec<Vec<f64>> = stacks.iter().map(|_| vec![0.0f64; n2]).collect();
-        let b = self.band();
         if b == n {
             return Ok(self.band_intensities(stacks, spectrum, images));
         }
         let mut band_images: [Vec<f64>; 3] = Default::default();
         for image in &mut band_images[..stacks.len()] {
-            *image = self.band_reals.take_zeroed(b * b);
+            *image = self.band_reals.take_zeroed(b2);
         }
-        let band_images = self.with_band_spectrum(spectrum, |band| {
-            self.band_intensities(stacks, band, band_images)
-        });
+        let band_images = self.band_intensities(stacks, spectrum, band_images);
         let expanded = self.expand_images(&band_images[..stacks.len()], images);
         for image in band_images.into_iter().take(stacks.len()) {
             self.band_reals.put(image);
@@ -479,14 +452,17 @@ impl LithoSimulator {
     /// Returns [`LithoError::ShapeMismatch`] on shape mismatch.
     pub fn aerial_corners(&self, mask: &Grid2D<f64>) -> Result<CornerImages, LithoError> {
         let n = self.config.size;
-        let spectrum = self.mask_spectrum_pooled(mask)?;
+        let b = self.band();
         let stacks = [
             (&self.nominal, self.config.dose(ProcessCorner::Nominal)),
             (&self.max, self.config.dose(ProcessCorner::Max)),
             (&self.min, self.config.dose(ProcessCorner::Min)),
         ];
-        let images = self.accumulate_intensity_multi(&stacks, &spectrum);
-        self.put_spectrum(spectrum);
+        let mut spectrum = self.band_fields.take(b * b);
+        let images = self
+            .mask_spectrum_into(mask, &mut spectrum)
+            .and_then(|()| self.accumulate_intensity_multi(&stacks, &spectrum));
+        self.band_fields.put(spectrum);
         let mut images = images?;
         let min = Grid2D::from_vec(n, n, images.pop().unwrap_or_default());
         let max = Grid2D::from_vec(n, n, images.pop().unwrap_or_default());
@@ -747,7 +723,29 @@ mod tests {
         // aerial_corners routes through the batched multi-stack region;
         // aerial_from_spectrum through the single-stack path. They must
         // agree bit-for-bit.
-        let s = sim();
+        check_batched_against_per_corner(&sim());
+    }
+
+    #[test]
+    fn batched_corners_match_per_corner_accumulation_on_the_band_grid() {
+        // At 256² the mask spectrum is the 128² band one and every image
+        // is interpolated back onto the full grid.
+        let s = LithoSimulator::new(LithoConfig {
+            size: 256,
+            kernel_count: 4,
+            ..LithoConfig::default()
+        })
+        .unwrap();
+        assert!(s.band() < s.size(), "the band path must be active");
+        let b = s.band();
+        assert_eq!(
+            s.mask_spectrum(&Grid2D::new(256, 256, 0.0)).unwrap().len(),
+            b * b
+        );
+        check_batched_against_per_corner(&s);
+    }
+
+    fn check_batched_against_per_corner(s: &LithoSimulator) {
         let mask = square_mask(s.size(), 9).to_real();
         let batched = s.aerial_corners(&mask).unwrap();
         let spectrum = s.mask_spectrum(&mask).unwrap();
