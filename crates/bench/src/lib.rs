@@ -18,7 +18,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use cfaopc_core::{run_circleopt, CircleOptConfig, CircleOptResult};
+use cfaopc_core::{run_circleopt, CircleOptConfig, CircleOptResult, RunOptions};
 use cfaopc_fracture::{circle_rule, rect_shot_count, CircleRuleConfig, CircularMask};
 use cfaopc_grid::{
     disk_area, open, remove_small_regions, upsample_bilinear, BitGrid, Connectivity, Structuring,
@@ -154,20 +154,13 @@ impl Experiment {
         (metrics, circles)
     }
 
-    /// CircleOpt configuration tuned for the experiment resolution.
-    ///
-    /// The paper's `γ = 3` is calibrated at 1 nm/px (2048²); the
-    /// per-activation lithography gradient scales with the circle's
-    /// pixel area, so the sparsity weight is rescaled by
-    /// `(size/2048)²` to keep the Lasso/fidelity balance
-    /// resolution-independent.
+    /// CircleOpt configuration tuned for the experiment resolution, with
+    /// `γ` rescaled to the pixel pitch ([`CircleOptConfig::for_pixel_nm`]).
     pub fn circleopt_config(&self) -> CircleOptConfig {
-        let scale = (self.size() as f64 / 2048.0).powi(2);
         CircleOptConfig {
             init_iterations: self.ilt_iterations.div_ceil(2),
             circle_iterations: self.ilt_iterations + 10,
-            gamma: 3.0 * scale,
-            ..CircleOptConfig::default()
+            ..CircleOptConfig::for_pixel_nm(self.pixel_nm())
         }
     }
 
@@ -177,7 +170,8 @@ impl Experiment {
         target: &BitGrid,
         config: &CircleOptConfig,
     ) -> (MaskMetrics, CircleOptResult) {
-        let result = run_circleopt(&self.sim, target, config).expect("circleopt run");
+        let options = RunOptions::default();
+        let result = run_circleopt(&self.sim, target, config, options).expect("circleopt run");
         let metrics = self.eval(&result.mask_raster, target, result.shot_count());
         (metrics, result)
     }

@@ -10,19 +10,19 @@
 //!
 //! Tiles are independent, so the harness parallelizes at the *tile*
 //! level, exactly the whole-case sharding `cfaopc_eval` uses: one
-//! `par_map` region over the tile list, each tile capping its inner
-//! parallel regions at its share from
-//! [`worker_shares`]`(workers, min(tiles, workers))`, with shares keyed
-//! off the tile index so the schedule is timing-independent.
+//! [`par_map_sharded`] region over the tile list, each tile capping its
+//! inner parallel regions at its share from
+//! `worker_shares(workers, min(tiles, workers))`, with shares keyed off
+//! the tile index so the schedule is timing-independent.
 //!
 //! # Determinism
 //!
 //! `CHIP_RESULTS.json` is reproducible to the byte across runs and
 //! across `CFAOPC_THREADS` values:
 //!
-//! * `par_map` collects per-tile results in index order and every inner
-//!   parallel path is bit-identical to its serial execution (asserted by
-//!   the fft/litho/core concurrency tests);
+//! * `par_map_sharded` collects per-tile results in index order and every
+//!   inner parallel path is bit-identical to its serial execution
+//!   (asserted by the fft/litho/core concurrency tests);
 //! * shot merging walks tiles in row-major order and keeps each shot
 //!   exactly once (its centre's owner emits it);
 //! * the seam blend accumulates window intensities serially in the same
@@ -37,8 +37,8 @@ use crate::spec::ChipSpec;
 use crate::stitch::{
     accumulate_window, axis_weights, extract_window_into, merge_tile_shots, normalize_blend,
 };
-use cfaopc_core::run_circleopt;
-use cfaopc_fft::parallel::{par_map, with_worker_limit, worker_count, worker_shares};
+use cfaopc_core::{run_circleopt, RunOptions};
+use cfaopc_fft::parallel::par_map_sharded;
 use cfaopc_fracture::{check_mrc, circle_rule, CircularMask, MrcRules, MrcViolation};
 use cfaopc_grid::{BitGrid, Grid2D};
 use cfaopc_ilt::{run_engine, IltEngine};
@@ -113,7 +113,7 @@ pub fn run_tile(
         spec.rule_iterations,
     )?;
     let rule = circle_rule(&pixel.mask_binary, &opt_config.rule, pixel_nm);
-    let opt = run_circleopt(sim, window_target, &opt_config)?;
+    let opt = run_circleopt(sim, window_target, &opt_config, RunOptions::default())?;
     Ok(TileShots {
         rule,
         opt: opt.mask,
@@ -155,17 +155,11 @@ fn stitched_outcome(
 
     // Per-window corner images of the *merged* mask, in parallel with
     // index-keyed shares (results land in tile order).
-    let tiles = geom.tile_count();
-    let workers = worker_count();
-    let concurrent = workers.min(tiles).max(1);
-    let shares = worker_shares(workers, concurrent);
-    let images = par_map(tiles, |i| {
-        with_worker_limit(shares[i % concurrent], || {
-            let (tx, ty) = geom.tile_at(i);
-            let mut window = BitGrid::new(win, win);
-            extract_window_into(&chip_raster, geom.window_origin(tx, ty), &mut window);
-            sim.aerial_corners(&window.to_real())
-        })
+    let images = par_map_sharded(geom.tile_count(), |i| {
+        let (tx, ty) = geom.tile_at(i);
+        let mut window = BitGrid::new(win, win);
+        extract_window_into(&chip_raster, geom.window_origin(tx, ty), &mut window);
+        sim.aerial_corners(&window.to_real())
     });
 
     // Serial partition-of-unity accumulation in row-major tile order.
@@ -247,21 +241,6 @@ pub struct ChipOutcome {
 }
 
 /// Runs one chip through the decomposed pipeline with a shared window
-/// simulator, returning the record only; see [`run_chip_case_full`] for
-/// the merged masks.
-///
-/// # Errors
-///
-/// As [`run_chip_case_full`].
-pub fn run_chip_case(
-    spec: &ChipSpec,
-    sim: &LithoSimulator,
-    chip: &ChipLayout,
-) -> Result<ChipRecord, ChipError> {
-    run_chip_case_full(spec, sim, chip).map(|o| o.record)
-}
-
-/// Runs one chip through the decomposed pipeline with a shared window
 /// simulator.
 ///
 /// # Errors
@@ -287,12 +266,7 @@ pub fn run_chip_case_full(
             w
         })
         .collect();
-    let workers = worker_count();
-    let concurrent = workers.min(tiles).max(1);
-    let shares = worker_shares(workers, concurrent);
-    let results = par_map(tiles, |i| {
-        with_worker_limit(shares[i % concurrent], || run_tile(sim, &windows[i], spec))
-    });
+    let results = par_map_sharded(tiles, |i| run_tile(sim, &windows[i], spec));
     let mut tile_shots = Vec::with_capacity(tiles);
     for (i, r) in results.into_iter().enumerate() {
         let (tx, ty) = geom.tile_at(i);
@@ -354,7 +328,7 @@ pub fn run_chip_suite(spec: &ChipSpec) -> Result<ChipReport, ChipError> {
     let mut records = Vec::with_capacity(spec.chips.len());
     for source in &spec.chips {
         let chip = source.chip();
-        records.push(run_chip_case(spec, &sim, &chip)?);
+        records.push(run_chip_case_full(spec, &sim, &chip)?.record);
     }
     let geom = ChipGeometry::new(1, 1, spec.tile_px);
     Ok(ChipReport {

@@ -12,9 +12,9 @@
 //!    ~λ/NA ≈ 143 nm optical interaction radius).
 //! 2. **Optimize** — every window runs the full per-tile pipeline (pixel
 //!    ILT → CircleRule and CircleOpt) in parallel on the persistent
-//!    worker pool, sharded exactly like `cfaopc_eval` (index-keyed
-//!    [`worker_shares`](cfaopc_fft::parallel::worker_shares), so results
-//!    are byte-identical to serial at any `CFAOPC_THREADS`).
+//!    worker pool, sharded exactly like `cfaopc_eval` (index-keyed shares
+//!    through [`par_map_sharded`](cfaopc_fft::parallel::par_map_sharded),
+//!    so results are byte-identical to serial at any `CFAOPC_THREADS`).
 //! 3. **Merge** — each shot belongs to the tile that owns its centre
 //!    pixel; owned shots translate to chip coordinates and concatenate
 //!    in row-major tile order into one chip-level CSHOT list, checked
@@ -51,7 +51,7 @@ mod stitch;
 
 pub use geometry::ChipGeometry;
 pub use harness::{
-    run_chip_case, run_chip_case_full, run_chip_suite, run_tile, ChipError, ChipOutcome, TileShots,
+    run_chip_case_full, run_chip_suite, run_tile, ChipError, ChipOutcome, TileShots,
 };
 pub use report::{
     compare_chip_reports, ChipMethodOutcome, ChipRecord, ChipReport, TileRecord, SCHEMA,

@@ -152,21 +152,19 @@ impl ChipSpec {
     }
 
     /// The CircleOpt configuration, with the sparsity weight rescaled to
-    /// the grid resolution exactly as `cfaopc_eval::SuiteSpec` does
-    /// (`tile_px` pixels span one 2048 nm tile pitch).
+    /// the chip raster's pixel pitch ([`CircleOptConfig::for_pixel_nm`];
+    /// windows share that pitch).
     pub fn circleopt_config(&self) -> CircleOptConfig {
-        let gamma = 3.0 * (self.tile_px as f64 / 2048.0).powi(2);
         CircleOptConfig {
             init_iterations: self.opt_init_iterations,
             circle_iterations: self.opt_circle_iterations,
-            gamma,
             // At chip pitches (TILE_NM / tile_px ≥ 32 nm/px) minimum
             // features span only 1–3 px, so the default 1-px morphological
             // opening of the init mask would erase them and CircleOpt
             // would seed no circles at all. The r_min region filter in
             // CircleRule still enforces writability.
             cleanup_init: false,
-            ..CircleOptConfig::default()
+            ..CircleOptConfig::for_pixel_nm(self.pixel_nm())
         }
     }
 }

@@ -15,10 +15,13 @@
 //! | [`Composite::backward`] | Eq. 12–14 + Eq. 16 manual gradients           |
 //! | [`run_circleopt`]    | the full two-stage pipeline (Fig. 3), Eq. 15/17  |
 //!
+//! [`run_circleopt`] takes a warm restart, a telemetry sink and a cancel
+//! token through [`RunOptions`], shared with `cfaopc_ilt::run_pixel_ilt`.
+//!
 //! # Examples
 //!
 //! ```
-//! use cfaopc_core::{run_circleopt, CircleOptConfig};
+//! use cfaopc_core::{run_circleopt, CircleOptConfig, RunOptions};
 //! use cfaopc_grid::{fill_rect, BitGrid, Rect};
 //! use cfaopc_litho::{LithoConfig, LithoSimulator};
 //!
@@ -37,7 +40,7 @@
 //!     circle_iterations: 2,
 //!     ..CircleOptConfig::default()
 //! };
-//! let result = run_circleopt(&sim, &target, &config)?;
+//! let result = run_circleopt(&sim, &target, &config, RunOptions::default())?;
 //! assert!(result.shot_count() > 0);
 //! # Ok(())
 //! # }
@@ -58,12 +61,10 @@ mod simd;
 mod soft;
 mod ste;
 
+pub use cfaopc_ilt::RunOptions;
 pub use compose::{compose, compose_serial, ComposeConfig, ComposeWorkspace, Composite, TILE};
 pub use optimize::Composition;
-pub use optimize::{
-    run_circleopt, run_circleopt_cancellable, run_circleopt_from, run_circleopt_from_traced,
-    run_circleopt_traced, CircleOptConfig, CircleOptResult, CircleOptTrace,
-};
+pub use optimize::{run_circleopt, CircleOptConfig, CircleOptResult, CircleOptTrace};
 pub use repr::{CircleParams, SparseCircles};
 pub use soft::{compose_soft, compose_soft_serial, SoftComposite, SoftWorkspace};
 pub use ste::{ste, SteValue};

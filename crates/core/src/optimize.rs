@@ -28,12 +28,12 @@ use cfaopc_fracture::{circle_rule, CircleRuleConfig, CircularMask};
 use cfaopc_grid::{
     disk_area, open, remove_small_regions, BitGrid, Connectivity, Grid2D, Structuring,
 };
-use cfaopc_ilt::{run_pixel_ilt_cancellable, IltEngine, Optimizer, OptimizerKind};
+use cfaopc_ilt::{run_pixel_ilt, IltEngine, Optimizer, OptimizerKind, RunOptions};
 use cfaopc_litho::{
     loss_and_gradient_into, CancelToken, LithoError, LithoSimulator, LossValues, LossWeights,
     NonFiniteTerm,
 };
-use cfaopc_trace::{grad_norms, IterationRecord, Stage, TelemetrySink};
+use cfaopc_trace::{grad_norms, IterationRecord, Stage};
 use serde::{Deserialize, Serialize};
 
 /// CircleOpt hyper-parameters. Defaults are the paper's §5 constants:
@@ -115,6 +115,20 @@ impl Default for CircleOptConfig {
     }
 }
 
+impl CircleOptConfig {
+    /// The defaults with `γ = 3 / pixel_nm²`. The paper's `γ = 3` holds at
+    /// 1 nm/px, and the per-activation lithography gradient scales with a
+    /// circle's pixel area, so `γ` follows the pixel area. At power-of-two
+    /// pitches (`n` px over 2048 nm) this is `3 · (n / 2048)²` to the bit.
+    pub fn for_pixel_nm(pixel_nm: f64) -> Self {
+        let defaults = CircleOptConfig::default();
+        CircleOptConfig {
+            gamma: defaults.gamma / (pixel_nm * pixel_nm),
+            ..defaults
+        }
+    }
+}
+
 /// Per-iteration trace of the circle-level stage.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CircleOptTrace {
@@ -153,15 +167,33 @@ impl CircleOptResult {
 
 /// Runs the full CircleOpt pipeline on `target`.
 ///
+/// `options.init` is a warm restart: the run skips stage 1 and the
+/// CircleRule reparameterization and continues the circle-level stage
+/// from the given circles (parameter sweeps, re-optimization after small
+/// target edits).
+///
+/// The sink gets one [`IterationRecord`] per step: stage-1 pixel
+/// iterations ([`Stage::PixelIlt`]), then stage-2 circle iterations
+/// ([`Stage::CircleOpt`], where `sparsity` is the Lasso penalty `γ Σ|qᵢ|`
+/// and `active` counts circles above `q_threshold`). Recording is
+/// allocation-free when the sink is (see `cfaopc_trace::MemorySink`).
+///
+/// The cancel token is polled at the top of every iteration of both
+/// stages. Cancellation takes the same mid-run exit as the
+/// [`LithoError::NonFinite`] health guard, so the simulator's shared
+/// state and the worker pool stay reusable — this is what lets a daemon
+/// cancel one job and keep serving (see `cfaopc-serve`).
+///
 /// # Errors
 ///
-/// Returns [`LithoError::ShapeMismatch`] when `target` does not match the
-/// simulator grid.
+/// [`LithoError::ShapeMismatch`] when `target` does not match the
+/// simulator grid, [`LithoError::NonFinite`] when the numerical-health
+/// guard trips, [`LithoError::Cancelled`] when the token fires.
 ///
 /// # Examples
 ///
 /// ```no_run
-/// use cfaopc_core::{run_circleopt, CircleOptConfig};
+/// use cfaopc_core::{run_circleopt, CircleOptConfig, RunOptions};
 /// use cfaopc_grid::{fill_rect, BitGrid, Rect};
 /// use cfaopc_litho::{LithoConfig, LithoSimulator};
 ///
@@ -169,7 +201,8 @@ impl CircleOptResult {
 /// let sim = LithoSimulator::new(LithoConfig::default())?;
 /// let mut target = BitGrid::new(512, 512);
 /// fill_rect(&mut target, Rect::new(100, 120, 130, 380));
-/// let result = run_circleopt(&sim, &target, &CircleOptConfig::default())?;
+/// let config = CircleOptConfig::default();
+/// let result = run_circleopt(&sim, &target, &config, RunOptions::default())?;
 /// println!("#Shot = {}", result.shot_count());
 /// # Ok(())
 /// # }
@@ -178,119 +211,29 @@ pub fn run_circleopt(
     sim: &LithoSimulator,
     target: &BitGrid,
     config: &CircleOptConfig,
-) -> Result<CircleOptResult, LithoError> {
-    run_circleopt_impl(sim, target, config, None, None, None)
-}
-
-/// [`run_circleopt`] with a [`TelemetrySink`] receiving one
-/// [`IterationRecord`] per optimizer step: stage-1 pixel iterations
-/// ([`Stage::PixelIlt`]) followed by stage-2 circle iterations
-/// ([`Stage::CircleOpt`], where `sparsity` is the Lasso penalty
-/// `γ Σ|qᵢ|` and `active` counts circles above `q_threshold`).
-///
-/// Attaching a sink never changes the optimization — results are
-/// bit-identical to the untraced run, and per-record work is
-/// allocation-free when the sink is (see `cfaopc_trace::MemorySink`).
-///
-/// # Errors
-///
-/// Returns [`LithoError::ShapeMismatch`] on a grid mismatch, or
-/// [`LithoError::NonFinite`] when the numerical-health guard trips.
-pub fn run_circleopt_traced(
-    sim: &LithoSimulator,
-    target: &BitGrid,
-    config: &CircleOptConfig,
-    sink: &mut dyn TelemetrySink,
-) -> Result<CircleOptResult, LithoError> {
-    run_circleopt_impl(sim, target, config, None, Some(sink), None)
-}
-
-/// [`run_circleopt_traced`] plus cooperative cancellation: the token is
-/// polled at the top of every stage-1 pixel iteration and every stage-2
-/// circle iteration, aborting with [`LithoError::Cancelled`] before any
-/// further simulation work.
-///
-/// Cancellation takes the same mid-run exit as the
-/// [`LithoError::NonFinite`] health guard, so an aborted run leaves the
-/// simulator's shared state (kernels, FFT plans, buffer pools) and the
-/// worker pool fully reusable by the next run — this is what lets a
-/// daemon cancel one job and keep serving (see `cfaopc-serve`).
-///
-/// # Errors
-///
-/// As [`run_circleopt_traced`], plus [`LithoError::Cancelled`] when
-/// `cancel` fires mid-run.
-pub fn run_circleopt_cancellable(
-    sim: &LithoSimulator,
-    target: &BitGrid,
-    config: &CircleOptConfig,
-    sink: &mut dyn TelemetrySink,
-    cancel: &CancelToken,
-) -> Result<CircleOptResult, LithoError> {
-    run_circleopt_impl(sim, target, config, None, Some(sink), Some(cancel))
-}
-
-/// Runs only the circle-level stage from an existing sparse circular
-/// representation — a warm restart. Skips the pixel-level initialization
-/// and the CircleRule reparameterization; useful for parameter sweeps
-/// and incremental re-optimization after small target edits.
-///
-/// # Errors
-///
-/// Returns [`LithoError::ShapeMismatch`] when `target` does not match the
-/// simulator grid.
-pub fn run_circleopt_from(
-    sim: &LithoSimulator,
-    target: &BitGrid,
-    config: &CircleOptConfig,
-    circles: SparseCircles,
-) -> Result<CircleOptResult, LithoError> {
-    run_circleopt_impl(sim, target, config, Some(circles), None, None)
-}
-
-/// [`run_circleopt_from`] with a [`TelemetrySink`] — a traced warm
-/// restart (see [`run_circleopt_traced`] for the record semantics).
-///
-/// # Errors
-///
-/// Returns [`LithoError::ShapeMismatch`] on a grid mismatch, or
-/// [`LithoError::NonFinite`] when the numerical-health guard trips.
-pub fn run_circleopt_from_traced(
-    sim: &LithoSimulator,
-    target: &BitGrid,
-    config: &CircleOptConfig,
-    circles: SparseCircles,
-    sink: &mut dyn TelemetrySink,
-) -> Result<CircleOptResult, LithoError> {
-    run_circleopt_impl(sim, target, config, Some(circles), Some(sink), None)
-}
-
-fn run_circleopt_impl(
-    sim: &LithoSimulator,
-    target: &BitGrid,
-    config: &CircleOptConfig,
-    warm_start: Option<SparseCircles>,
-    mut sink: Option<&mut (dyn TelemetrySink + '_)>,
-    cancel: Option<&CancelToken>,
+    mut options: RunOptions<'_, SparseCircles>,
 ) -> Result<CircleOptResult, LithoError> {
     let _span = cfaopc_trace::span("core.circleopt");
     let n = sim.size();
     let pixel_nm = sim.config().pixel_nm();
     let (r_min, r_max) = config.rule.radius_range_px(pixel_nm);
 
-    let (mut circles, init_mask) = match warm_start {
+    let (mut circles, init_mask) = match options.init {
         Some(circles) => (circles, BitGrid::new(n, n)),
         None => {
             // Stage 1: pixel-level initialization (MOSAIC, a few steps).
             let mut init_cfg = IltEngine::Mosaic.config(config.init_iterations);
             init_cfg.weights = config.weights;
-            let init = run_pixel_ilt_cancellable(
+            let init = run_pixel_ilt(
                 sim,
                 target,
                 &init_cfg,
-                None,
-                sink.as_deref_mut(),
-                cancel,
+                RunOptions {
+                    init: None,
+                    // Reborrow: stage 2 records into the same sink.
+                    sink: options.sink.as_deref_mut().map(|s| s as _),
+                    cancel: options.cancel,
+                },
             )?;
             let init_mask = if config.cleanup_init {
                 // Writability hygiene: 1-px opening, then drop regions
@@ -340,7 +283,7 @@ fn run_circleopt_impl(
     let mut grad_mask = Grid2D::new(n, n, 0.0);
     let mut grads: Vec<f64> = Vec::new();
     for it in 0..config.circle_iterations {
-        if cancel.is_some_and(CancelToken::is_cancelled) {
+        if options.cancel.is_some_and(CancelToken::is_cancelled) {
             return Err(LithoError::Cancelled { iteration: it });
         }
         circles.set_from_flat(&flat);
@@ -398,7 +341,7 @@ fn run_circleopt_impl(
                 None
             }
         });
-        if let Some(s) = sink.as_deref_mut() {
+        if let Some(s) = options.sink.as_deref_mut() {
             s.record(&IterationRecord {
                 stage: Stage::CircleOpt,
                 iteration: it,
@@ -456,6 +399,13 @@ mod tests {
         }
     }
 
+    fn warm(circles: SparseCircles) -> RunOptions<'static, SparseCircles> {
+        RunOptions {
+            init: Some(circles),
+            ..RunOptions::default()
+        }
+    }
+
     fn bar_target(n: usize) -> BitGrid {
         let mut t = BitGrid::new(n, n);
         // 16 nm/px: a 96nm x 768nm bar.
@@ -464,10 +414,28 @@ mod tests {
     }
 
     #[test]
+    fn gamma_for_pixel_pitch_matches_the_grid_ratio_bit_for_bit() {
+        // Tiles are n px over 2048 nm and chip windows 2n px over
+        // 4096 nm: power-of-two pitches, so the rescale is exact.
+        for n in [32u32, 64, 128, 256, 512, 1024, 2048] {
+            let ratio = 3.0 * (f64::from(n) / 2048.0).powi(2);
+            for pitch in [2048.0 / f64::from(n), 4096.0 / f64::from(2 * n)] {
+                let config = CircleOptConfig::for_pixel_nm(pitch);
+                assert_eq!(config.gamma.to_bits(), ratio.to_bits(), "n = {n}");
+                let rest = CircleOptConfig {
+                    gamma: 3.0,
+                    ..config
+                };
+                assert_eq!(rest, CircleOptConfig::default());
+            }
+        }
+    }
+
+    #[test]
     fn pipeline_produces_a_circular_mask() {
         let s = sim();
         let target = bar_target(s.size());
-        let result = run_circleopt(&s, &target, &fast_cfg()).unwrap();
+        let result = run_circleopt(&s, &target, &fast_cfg(), RunOptions::default()).unwrap();
         assert!(result.shot_count() > 0, "no shots");
         let (r_min, r_max) = fast_cfg().rule.radius_range_px(s.config().pixel_nm());
         for shot in result.mask.shots() {
@@ -488,7 +456,7 @@ mod tests {
             gamma: 0.0, // isolate the lithography objective
             ..fast_cfg()
         };
-        let result = run_circleopt(&s, &target, &cfg).unwrap();
+        let result = run_circleopt(&s, &target, &cfg, RunOptions::default()).unwrap();
         let first = result.history.first().unwrap().loss.total;
         let last = result.history.last().unwrap().loss.total;
         assert!(
@@ -508,6 +476,7 @@ mod tests {
                 gamma: 0.0,
                 ..fast_cfg()
             },
+            RunOptions::default(),
         )
         .unwrap();
         let with = run_circleopt(
@@ -517,6 +486,7 @@ mod tests {
                 gamma: 30.0, // aggressive to make the effect decisive
                 ..fast_cfg()
             },
+            RunOptions::default(),
         )
         .unwrap();
         assert!(
@@ -532,7 +502,7 @@ mod tests {
     fn empty_target_yields_empty_mask() {
         let s = sim();
         let empty = BitGrid::new(s.size(), s.size());
-        let result = run_circleopt(&s, &empty, &fast_cfg()).unwrap();
+        let result = run_circleopt(&s, &empty, &fast_cfg(), RunOptions::default()).unwrap();
         assert_eq!(result.shot_count(), 0);
         assert!(result.history.is_empty());
         assert!(result.mask_raster.is_clear());
@@ -542,8 +512,8 @@ mod tests {
     fn deterministic() {
         let s = sim();
         let target = bar_target(s.size());
-        let a = run_circleopt(&s, &target, &fast_cfg()).unwrap();
-        let b = run_circleopt(&s, &target, &fast_cfg()).unwrap();
+        let a = run_circleopt(&s, &target, &fast_cfg(), RunOptions::default()).unwrap();
+        let b = run_circleopt(&s, &target, &fast_cfg(), RunOptions::default()).unwrap();
         assert_eq!(a.mask, b.mask);
     }
 
@@ -551,12 +521,12 @@ mod tests {
     fn warm_restart_continues_from_given_circles() {
         let s = sim();
         let target = bar_target(s.size());
-        let first = run_circleopt(&s, &target, &fast_cfg()).unwrap();
+        let first = run_circleopt(&s, &target, &fast_cfg(), RunOptions::default()).unwrap();
         let more = CircleOptConfig {
             circle_iterations: 5,
             ..fast_cfg()
         };
-        let restarted = run_circleopt_from(&s, &target, &more, first.circles.clone()).unwrap();
+        let restarted = run_circleopt(&s, &target, &more, warm(first.circles.clone())).unwrap();
         assert_eq!(restarted.history.len(), 5);
         assert!(restarted.shot_count() > 0);
         // The warm start skips stage 1 entirely.
@@ -574,7 +544,7 @@ mod tests {
     fn rejects_mismatched_target() {
         let s = sim();
         let target = BitGrid::new(16, 16);
-        assert!(run_circleopt(&s, &target, &fast_cfg()).is_err());
+        assert!(run_circleopt(&s, &target, &fast_cfg(), RunOptions::default()).is_err());
     }
 
     #[test]
@@ -587,7 +557,7 @@ mod tests {
             composition: Composition::Softmax { beta: 20.0 },
             ..fast_cfg()
         };
-        let result = run_circleopt(&s, &target, &cfg).unwrap();
+        let result = run_circleopt(&s, &target, &cfg, RunOptions::default()).unwrap();
         assert!(result.shot_count() > 0);
         let first = result.history.first().unwrap().loss.total;
         let last = result.history.last().unwrap().loss.total;
@@ -602,9 +572,13 @@ mod tests {
         let s = sim();
         let target = bar_target(s.size());
         let cfg = fast_cfg();
-        let plain = run_circleopt(&s, &target, &cfg).unwrap();
+        let plain = run_circleopt(&s, &target, &cfg, RunOptions::default()).unwrap();
         let mut sink = cfaopc_trace::MemorySink::new();
-        let traced = run_circleopt_traced(&s, &target, &cfg, &mut sink).unwrap();
+        let options = RunOptions {
+            sink: Some(&mut sink),
+            ..RunOptions::default()
+        };
+        let traced = run_circleopt(&s, &target, &cfg, options).unwrap();
         assert_eq!(plain.mask, traced.mask);
         assert_eq!(plain.mask_raster, traced.mask_raster);
         for (a, b) in plain.history.iter().zip(&traced.history) {
@@ -633,7 +607,7 @@ mod tests {
         let target = bar_target(s.size());
         // A finite stage-1 seeds the circles; the circle stage then runs
         // under poisoned weights and must trip the guard at iteration 0.
-        let seeded = run_circleopt(&s, &target, &fast_cfg()).unwrap();
+        let seeded = run_circleopt(&s, &target, &fast_cfg(), RunOptions::default()).unwrap();
         let cfg = CircleOptConfig {
             weights: cfaopc_litho::LossWeights {
                 l2: f64::NAN,
@@ -641,7 +615,7 @@ mod tests {
             },
             ..fast_cfg()
         };
-        match run_circleopt_from(&s, &target, &cfg, seeded.circles) {
+        match run_circleopt(&s, &target, &cfg, warm(seeded.circles)) {
             Err(LithoError::NonFinite { iteration, term }) => {
                 assert_eq!(iteration, 0);
                 assert_eq!(term, NonFiniteTerm::LossTotal);

@@ -1,15 +1,16 @@
 //! Guard: the steady-state CircleOpt iteration (hard-max path) performs
 //! **zero net heap growth** after warm-up.
 //!
-//! The iteration body below is the same sequence `run_circleopt_impl`
-//! executes per step — compose into a reused [`ComposeWorkspace`],
-//! pooled `loss_and_gradient_into`, `backward_into` a reused gradient
-//! buffer, Lasso subgradient, Adam step — driven through the public API
-//! so a counting global allocator can watch it. Transient allocations
-//! that free within the iteration (parallel-region bookkeeping, the
-//! adjoint's per-kernel contribution lists) net to zero; what this test
-//! forbids is *growth*: any buffer allocated per iteration and kept, or
-//! reallocated bigger each step, shows up as a positive byte delta.
+//! The iteration body below is the same sequence `run_circleopt`'s
+//! stage-2 loop executes per step — compose into a reused
+//! [`ComposeWorkspace`], pooled `loss_and_gradient_into`, `backward_into`
+//! a reused gradient buffer, Lasso subgradient, Adam step — driven
+//! through the public API so a counting global allocator can watch it.
+//! Transient allocations that free within the iteration (parallel-region
+//! bookkeeping, the adjoint's per-kernel contribution lists) net to zero;
+//! what this test forbids is *growth*: any buffer allocated per iteration
+//! and kept, or reallocated bigger each step, shows up as a positive byte
+//! delta.
 //!
 //! `backward_into` runs the fused compose+backward path (band-partial
 //! scratch lives in the workspace), so this guard also pins the fused
@@ -130,7 +131,7 @@ fn fixture() -> Fixture {
     }
 }
 
-/// Records one telemetry iteration exactly as `run_circleopt_impl` does —
+/// Records one telemetry iteration exactly as `run_circleopt` does —
 /// gradient norms plus a sink record — so the measurement covers the
 /// tracing hot path, not just the numeric one.
 fn record_iteration(sink: &mut MemorySink, it: usize, sparsity: f64, grads: &[f64]) {

@@ -7,12 +7,11 @@
 //! exactly as reusable as a run that finished. One umbrella test pins
 //! `CFAOPC_THREADS=4` before the pool is first consulted (separate
 //! `#[test]`s would race on the process-wide pool setup), aborts runs
-//! every way we support, and then demands a clean rerun on the *same*
-//! simulator be bit-identical to the pristine reference.
+//! every way we support — cold and warm-restarted — and then demands a
+//! clean rerun on the *same* simulator be bit-identical to the pristine
+//! reference.
 
-use cfaopc_core::{
-    run_circleopt_cancellable, run_circleopt_from, run_circleopt_traced, CircleOptConfig,
-};
+use cfaopc_core::{run_circleopt, CircleOptConfig, RunOptions};
 use cfaopc_fft::parallel::{pool_thread_count, worker_count};
 use cfaopc_grid::{fill_rect, BitGrid, Rect};
 use cfaopc_litho::{
@@ -63,7 +62,11 @@ fn aborted_runs_leave_pool_and_simulator_reusable() {
 
     // Pristine reference on the shared simulator; warms the pool.
     let mut ref_sink = MemorySink::new();
-    let reference = run_circleopt_traced(&sim, &target, &cfg, &mut ref_sink).unwrap();
+    let traced = RunOptions {
+        sink: Some(&mut ref_sink),
+        ..RunOptions::default()
+    };
+    let reference = run_circleopt(&sim, &target, &cfg, traced).unwrap();
     assert!(
         reference.shot_count() > 0,
         "reference run must do real work"
@@ -75,7 +78,11 @@ fn aborted_runs_leave_pool_and_simulator_reusable() {
     //    any simulation work.
     let token = CancelToken::new();
     token.cancel();
-    match run_circleopt_cancellable(&sim, &target, &cfg, &mut (), &token) {
+    let pre_cancelled = RunOptions {
+        cancel: Some(&token),
+        ..RunOptions::default()
+    };
+    match run_circleopt(&sim, &target, &cfg, pre_cancelled) {
         Err(LithoError::Cancelled { iteration }) => assert_eq!(iteration, 0),
         other => panic!("expected immediate Cancelled, got {other:?}"),
     }
@@ -89,14 +96,41 @@ fn aborted_runs_leave_pool_and_simulator_reusable() {
         after: cfg.init_iterations + 2,
         seen: 0,
     };
-    match run_circleopt_cancellable(&sim, &target, &cfg, &mut cancelling, &token) {
+    let mid_run = RunOptions {
+        sink: Some(&mut cancelling),
+        cancel: Some(&token),
+        ..RunOptions::default()
+    };
+    match run_circleopt(&sim, &target, &cfg, mid_run) {
         Err(LithoError::Cancelled { iteration }) => {
             assert_eq!(iteration, 2, "cancel observed at the next iteration top")
         }
         other => panic!("expected mid-run Cancelled, got {other:?}"),
     }
 
-    // 3. Typed health-guard abort mid-run: poisoned weights on a warm
+    // 3. Cancelled warm restart: it starts in stage 2, so the sink
+    //    cancels on the record of circle iteration 2 and the top of
+    //    iteration 3 observes it, after exactly three records.
+    let token = CancelToken::new();
+    let mut cancelling = CancelAfter {
+        token: token.clone(),
+        after: 3,
+        seen: 0,
+    };
+    let warm_cancelled = RunOptions {
+        init: Some(reference.circles.clone()),
+        sink: Some(&mut cancelling),
+        cancel: Some(&token),
+    };
+    match run_circleopt(&sim, &target, &cfg, warm_cancelled) {
+        Err(LithoError::Cancelled { iteration }) => {
+            assert_eq!(iteration, 3, "warm restart cancels in stage 2")
+        }
+        other => panic!("expected warm-restart Cancelled, got {other:?}"),
+    }
+    assert_eq!(cancelling.seen, 3, "one record per completed iteration");
+
+    // 4. Typed health-guard abort mid-run: poisoned weights on a warm
     //    restart trip NonFinite in the circle stage.
     let bad = CircleOptConfig {
         weights: LossWeights {
@@ -105,7 +139,11 @@ fn aborted_runs_leave_pool_and_simulator_reusable() {
         },
         ..cfg.clone()
     };
-    match run_circleopt_from(&sim, &target, &bad, reference.circles.clone()) {
+    let warm = RunOptions {
+        init: Some(reference.circles.clone()),
+        ..RunOptions::default()
+    };
+    match run_circleopt(&sim, &target, &bad, warm) {
         Err(LithoError::NonFinite { iteration, term }) => {
             assert_eq!(iteration, 0);
             assert_eq!(term, NonFiniteTerm::LossTotal);
@@ -113,12 +151,17 @@ fn aborted_runs_leave_pool_and_simulator_reusable() {
         other => panic!("expected NonFinite abort, got {other:?}"),
     }
 
-    // After all three aborts: same simulator, same pool, clean token —
+    // After all four aborts: same simulator, same pool, clean token —
     // the rerun must be bit-identical to the pristine reference, down to
     // the telemetry stream.
     let token = CancelToken::new();
     let mut rerun_sink = MemorySink::new();
-    let rerun = run_circleopt_cancellable(&sim, &target, &cfg, &mut rerun_sink, &token).unwrap();
+    let clean = RunOptions {
+        sink: Some(&mut rerun_sink),
+        cancel: Some(&token),
+        ..RunOptions::default()
+    };
+    let rerun = run_circleopt(&sim, &target, &cfg, clean).unwrap();
     assert_eq!(rerun.mask, reference.mask);
     assert_eq!(rerun.mask_raster, reference.mask_raster);
     assert_eq!(rerun.history.len(), reference.history.len());

@@ -8,32 +8,29 @@
 //! # Sharding model
 //!
 //! Testcases are independent, so the harness parallelizes at the
-//! *testcase* level: one `par_map` region over the case list on the
-//! persistent worker pool. Each case then runs its inner parallel
-//! regions (FFTs, aerial images, tiled composition) under
-//! [`with_worker_limit`] set to its share of the pool from
-//! [`worker_shares`]`(workers, min(cases, workers))`, which distributes
-//! the remainder instead of leaving workers idle: with 4 workers and 12
-//! cases each case computes serially while 4 cases run concurrently;
-//! with 4 workers and 3 cases the shares are `[2, 1, 1]` (the old
-//! `workers / slots` split idled a worker); with 16 workers and 4 cases
-//! each case gets 4-way inner parallelism. Shares are assigned by case
-//! index (`shares[i % slots]`), not by claim order, so the schedule —
-//! and therefore the report — is independent of thread timing.
+//! *testcase* level: one [`par_map_sharded`] region over the case list on
+//! the persistent worker pool. Each case then runs its inner parallel
+//! regions (FFTs, aerial images, tiled composition) at its share of the
+//! pool: with 4 workers and 12 cases each case computes serially while 4
+//! cases run concurrently; with 4 workers and 3 cases the shares are
+//! `[2, 1, 1]`; with 16 workers and 4 cases each case gets 4-way inner
+//! parallelism. Shares are assigned by case index, not by claim order,
+//! so the schedule — and therefore the report — is independent of
+//! thread timing.
 //!
 //! # Determinism
 //!
 //! The report is reproducible to the byte across runs *and across
-//! `CFAOPC_THREADS` values**: `par_map` collects case records in index
-//! order, every inner parallel path is bit-identical to its serial
+//! `CFAOPC_THREADS` values**: `par_map_sharded` collects case records in
+//! index order, every inner parallel path is bit-identical to its serial
 //! execution (asserted by the fft/litho/core concurrency tests), and
 //! wall-clock timing is excluded from the report unless explicitly
 //! requested ([`run_suite_timed`]) — which is the one switch that
 //! sacrifices byte-identity.
 
 use crate::suite::{CaseSource, SuiteSpec};
-use cfaopc_core::run_circleopt_traced;
-use cfaopc_fft::parallel::{par_map, with_worker_limit, worker_count, worker_shares};
+use cfaopc_core::{run_circleopt, RunOptions};
+use cfaopc_fft::parallel::par_map_sharded;
 use cfaopc_fracture::circle_rule;
 use cfaopc_grid::{BitGrid, Point};
 use cfaopc_ilt::{run_engine, IltEngine};
@@ -196,18 +193,9 @@ fn run_suite_impl(spec: &SuiteSpec, timing: bool) -> Result<EvalReport, EvalErro
 
     // Coarse-grained outer parallelism: whole testcases are claimed from
     // the pool; each one caps its inner regions at its share so nested
-    // parallelism does not oversubscribe the pool. Shares distribute the
-    // remainder (4 workers / 3 cases → [2, 1, 1]) and are keyed off the
-    // case index so the assignment is timing-independent.
-    let workers = worker_count();
-    let concurrent = workers.min(layouts.len()).max(1);
-    let shares = worker_shares(workers, concurrent);
-
-    let results: Vec<Result<CaseRecord, EvalError>> = par_map(layouts.len(), |i| {
-        with_worker_limit(shares[i % concurrent], || {
-            run_case(spec, &layouts[i], timing)
-        })
-    });
+    // parallelism does not oversubscribe the pool.
+    let results: Vec<Result<CaseRecord, EvalError>> =
+        par_map_sharded(layouts.len(), |i| run_case(spec, &layouts[i], timing));
 
     let cases = results.into_iter().collect::<Result<Vec<_>, _>>()?;
     Ok(EvalReport {
@@ -251,8 +239,12 @@ fn run_case(spec: &SuiteSpec, layout: &Layout, timing: bool) -> Result<CaseRecor
     let mut sink = MemorySink::with_capacity(
         spec.opt_init_iterations + spec.opt_circle_iterations + spec.opt_circle_iterations / 2,
     );
-    let opt_result = run_circleopt_traced(&sim, &target, &spec.circleopt_config(), &mut sink)
-        .map_err(litho_err)?;
+    let options = RunOptions {
+        sink: Some(&mut sink),
+        ..RunOptions::default()
+    };
+    let opt_result =
+        run_circleopt(&sim, &target, &spec.circleopt_config(), options).map_err(litho_err)?;
     let opt = method_outcome(
         spec,
         &sim,

@@ -122,14 +122,12 @@ impl SuiteSpec {
     }
 
     /// The CircleOpt configuration, with the sparsity weight rescaled to
-    /// the grid resolution exactly as the `cfaopc fracture` CLI does.
+    /// the grid's pixel pitch ([`CircleOptConfig::for_pixel_nm`]).
     pub fn circleopt_config(&self) -> CircleOptConfig {
-        let gamma = 3.0 * (self.size as f64 / 2048.0).powi(2);
         CircleOptConfig {
             init_iterations: self.opt_init_iterations,
             circle_iterations: self.opt_circle_iterations,
-            gamma,
-            ..CircleOptConfig::default()
+            ..CircleOptConfig::for_pixel_nm(self.litho_config().pixel_nm())
         }
     }
 }

@@ -620,6 +620,23 @@ where
     out
 }
 
+/// [`par_map`] over `n` coarse-grained tasks (eval cases, chip tiles)
+/// that each run their inner parallel regions under [`with_worker_limit`]
+/// at their share of the pool: [`worker_shares`]`(workers, min(n,
+/// workers))`, keyed by task index (`shares[i % slots]`) rather than by
+/// claim order, so the schedule does not depend on thread timing.
+/// Results come back in index order.
+pub fn par_map_sharded<T, F>(n: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let workers = worker_count();
+    let slots = workers.min(n).max(1);
+    let shares = worker_shares(workers, slots);
+    par_map(n, |i| with_worker_limit(shares[i % slots], || f(i)))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -654,6 +671,19 @@ mod tests {
                 assert!(shares.windows(2).all(|w| w[0] >= w[1]));
             }
         }
+    }
+
+    #[test]
+    fn par_map_sharded_runs_each_task_at_its_indexed_share() {
+        let n = 7;
+        let slots = worker_count().min(n);
+        let shares = worker_shares(worker_count(), slots);
+        let seen = par_map_sharded(n, |i| (i, effective_workers()));
+        for (i, &(index, limit)) in seen.iter().enumerate() {
+            assert_eq!(index, i, "results come back in index order");
+            assert_eq!(limit, shares[i % slots], "task {i} runs at its share");
+        }
+        assert!(par_map_sharded(0, |i| i).is_empty());
     }
 
     #[test]

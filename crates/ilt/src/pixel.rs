@@ -6,12 +6,13 @@
 //! from the hand-derived adjoint in `cfaopc-litho`.
 
 use crate::optimizer::{Optimizer, OptimizerKind};
+use crate::options::RunOptions;
 use cfaopc_grid::{dilate, BitGrid, Grid2D, Structuring};
 use cfaopc_litho::{
     loss_and_gradient, sigmoid, CancelToken, LithoError, LithoSimulator, LossValues, LossWeights,
     NonFiniteTerm,
 };
-use cfaopc_trace::{grad_norms, IterationRecord, Stage, TelemetrySink};
+use cfaopc_trace::{grad_norms, IterationRecord, Stage};
 
 /// Where latent pixels are allowed to move.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -82,97 +83,26 @@ pub struct IltResult {
 
 /// Runs pixel-level ILT for `target` on `sim`.
 ///
-/// # Errors
-///
-/// Returns [`LithoError::ShapeMismatch`] when `target` does not match the
-/// simulator grid.
-pub fn run_pixel_ilt(
-    sim: &LithoSimulator,
-    target: &BitGrid,
-    config: &PixelIltConfig,
-) -> Result<IltResult, LithoError> {
-    run_pixel_ilt_with_init_traced(sim, target, config, None, None)
-}
-
-/// [`run_pixel_ilt`] with a [`TelemetrySink`] receiving one
-/// [`IterationRecord`] per gradient step (stage [`Stage::PixelIlt`];
+/// `options.init` is a latent field to warm-start from (the
+/// multi-resolution engine seeds each finer level this way). The sink
+/// gets one [`IterationRecord`] per step (stage [`Stage::PixelIlt`];
 /// `active` counts mask pixels above 0.5).
-///
-/// Attaching a sink never changes the optimization — the result is
-/// bit-identical to the untraced run.
-///
-/// # Errors
-///
-/// Returns [`LithoError::ShapeMismatch`] on a grid mismatch, or
-/// [`LithoError::NonFinite`] when the health guard trips.
-pub fn run_pixel_ilt_traced(
-    sim: &LithoSimulator,
-    target: &BitGrid,
-    config: &PixelIltConfig,
-    sink: &mut dyn TelemetrySink,
-) -> Result<IltResult, LithoError> {
-    run_pixel_ilt_with_init_traced(sim, target, config, None, Some(sink))
-}
-
-/// Runs pixel-level ILT from an explicit latent initialization (used by
-/// the multi-resolution engine to warm-start finer levels).
-///
-/// # Errors
-///
-/// Returns [`LithoError::ShapeMismatch`] when `target` or `init_latent`
-/// do not match the simulator grid.
-pub fn run_pixel_ilt_with_init(
-    sim: &LithoSimulator,
-    target: &BitGrid,
-    config: &PixelIltConfig,
-    init_latent: Option<&Grid2D<f64>>,
-) -> Result<IltResult, LithoError> {
-    run_pixel_ilt_with_init_traced(sim, target, config, init_latent, None)
-}
-
-/// The most general pixel-ILT entry point: optional warm-start latent
-/// **and** optional telemetry sink. The other `run_pixel_ilt*` functions
-/// are thin wrappers over this.
 ///
 /// Every iteration the numerical-health guard checks the loss terms and
 /// the latent gradient's L2/L∞ norms; a NaN or Inf aborts the run with
 /// [`LithoError::NonFinite`] naming the iteration and offending term
-/// (the poisoned record is still delivered to the sink first, for
-/// post-mortems).
+/// (the poisoned record is still delivered to the sink first).
 ///
 /// # Errors
 ///
-/// Returns [`LithoError::ShapeMismatch`] on a grid mismatch, or
-/// [`LithoError::NonFinite`] when the health guard trips.
-pub fn run_pixel_ilt_with_init_traced(
+/// [`LithoError::ShapeMismatch`] when `target` or the warm-start latent
+/// does not match the simulator grid, [`LithoError::NonFinite`] when the
+/// health guard trips, [`LithoError::Cancelled`] when the token fires.
+pub fn run_pixel_ilt(
     sim: &LithoSimulator,
     target: &BitGrid,
     config: &PixelIltConfig,
-    init_latent: Option<&Grid2D<f64>>,
-    sink: Option<&mut (dyn TelemetrySink + '_)>,
-) -> Result<IltResult, LithoError> {
-    run_pixel_ilt_cancellable(sim, target, config, init_latent, sink, None)
-}
-
-/// [`run_pixel_ilt_with_init_traced`] plus cooperative cancellation.
-///
-/// The token is polled once at the top of every iteration; a cancelled
-/// token aborts with [`LithoError::Cancelled`] before any further
-/// simulation work, leaving the simulator's shared state (kernels, FFT
-/// plans, buffer pools) and the worker pool fully reusable — the same
-/// exit discipline as the [`LithoError::NonFinite`] health guard.
-///
-/// # Errors
-///
-/// As [`run_pixel_ilt_with_init_traced`], plus [`LithoError::Cancelled`]
-/// when `cancel` fires mid-run.
-pub fn run_pixel_ilt_cancellable(
-    sim: &LithoSimulator,
-    target: &BitGrid,
-    config: &PixelIltConfig,
-    init_latent: Option<&Grid2D<f64>>,
-    mut sink: Option<&mut (dyn TelemetrySink + '_)>,
-    cancel: Option<&CancelToken>,
+    mut options: RunOptions<'_, &Grid2D<f64>>,
 ) -> Result<IltResult, LithoError> {
     let _span = cfaopc_trace::span("ilt.pixel");
     let n = sim.size();
@@ -182,7 +112,7 @@ pub fn run_pixel_ilt_cancellable(
             actual: (target.width(), target.height()),
         });
     }
-    if let Some(l) = init_latent {
+    if let Some(l) = options.init {
         if l.width() != n || l.height() != n {
             return Err(LithoError::ShapeMismatch {
                 expected: (n, n),
@@ -194,7 +124,7 @@ pub fn run_pixel_ilt_cancellable(
 
     // Latent init: explicit warm start, or ±amplitude inside/outside the
     // (possibly dilated) target.
-    let mut latent: Vec<f64> = match init_latent {
+    let mut latent: Vec<f64> = match options.init {
         Some(l) => l.as_slice().to_vec(),
         None => {
             let init_px = sim.config().nm_to_px(config.init_dilation_nm).round() as i32;
@@ -228,7 +158,7 @@ pub fn run_pixel_ilt_cancellable(
     let mut grad_p = vec![0.0f64; latent.len()];
 
     for it in 0..config.iterations {
-        if cancel.is_some_and(CancelToken::is_cancelled) {
+        if options.cancel.is_some_and(CancelToken::is_cancelled) {
             return Err(LithoError::Cancelled { iteration: it });
         }
         let mask = mask_from_latent(&latent, n, theta);
@@ -256,7 +186,7 @@ pub fn run_pixel_ilt_cancellable(
         let term = values.non_finite_term().or_else(|| {
             (!grad_l2.is_finite() || !grad_linf.is_finite()).then_some(NonFiniteTerm::Gradient)
         });
-        if let Some(s) = sink.as_deref_mut() {
+        if let Some(s) = options.sink.as_deref_mut() {
             s.record(&IterationRecord {
                 stage: Stage::PixelIlt,
                 iteration: it,
@@ -338,7 +268,7 @@ mod tests {
             iterations: 12,
             ..PixelIltConfig::default()
         };
-        let result = run_pixel_ilt(&s, &target, &cfg).unwrap();
+        let result = run_pixel_ilt(&s, &target, &cfg, RunOptions::default()).unwrap();
         let first = result.loss_history.first().unwrap().total;
         let last = result.loss_history.last().unwrap().total;
         assert!(last < first, "ILT failed to descend: {first} -> {last}");
@@ -354,7 +284,7 @@ mod tests {
             iterations: 25,
             ..PixelIltConfig::default()
         };
-        let result = run_pixel_ilt(&s, &target, &cfg).unwrap();
+        let result = run_pixel_ilt(&s, &target, &cfg, RunOptions::default()).unwrap();
         let w = LossWeights::default();
         let opt = cfaopc_litho::loss_only(&s, &result.mask_binary.to_real(), &target.to_real(), w)
             .unwrap()
@@ -375,7 +305,7 @@ mod tests {
             domain: UpdateDomain::NearTarget { halo_nm: 96.0 },
             ..PixelIltConfig::default()
         };
-        let result = run_pixel_ilt(&s, &target, &cfg).unwrap();
+        let result = run_pixel_ilt(&s, &target, &cfg, RunOptions::default()).unwrap();
         let halo_px = s.config().nm_to_px(96.0).round() as i32;
         let allowed = dilate(&target, Structuring::Disk(halo_px));
         for p in result.mask_binary.ones() {
@@ -391,8 +321,8 @@ mod tests {
             iterations: 6,
             ..PixelIltConfig::default()
         };
-        let a = run_pixel_ilt(&s, &target, &cfg).unwrap();
-        let b = run_pixel_ilt(&s, &target, &cfg).unwrap();
+        let a = run_pixel_ilt(&s, &target, &cfg, RunOptions::default()).unwrap();
+        let b = run_pixel_ilt(&s, &target, &cfg, RunOptions::default()).unwrap();
         assert_eq!(a.mask_binary, b.mask_binary);
         assert_eq!(a.loss_history.len(), b.loss_history.len());
     }
@@ -405,7 +335,7 @@ mod tests {
             iterations: 0,
             ..PixelIltConfig::default()
         };
-        let result = run_pixel_ilt(&s, &target, &cfg).unwrap();
+        let result = run_pixel_ilt(&s, &target, &cfg, RunOptions::default()).unwrap();
         assert!(result.loss_history.is_empty());
         assert_eq!(result.mask_binary, target);
     }
@@ -419,7 +349,7 @@ mod tests {
             init_dilation_nm: 64.0,
             ..PixelIltConfig::default()
         };
-        let result = run_pixel_ilt(&s, &target, &cfg).unwrap();
+        let result = run_pixel_ilt(&s, &target, &cfg, RunOptions::default()).unwrap();
         assert!(result.mask_binary.count_ones() > target.count_ones());
     }
 
@@ -437,7 +367,8 @@ mod tests {
     fn rejects_wrong_target_shape() {
         let s = sim();
         let target = BitGrid::new(8, 8);
-        assert!(run_pixel_ilt(&s, &target, &PixelIltConfig::default()).is_err());
+        let cfg = PixelIltConfig::default();
+        assert!(run_pixel_ilt(&s, &target, &cfg, RunOptions::default()).is_err());
     }
 
     #[test]
@@ -448,9 +379,13 @@ mod tests {
             iterations: 6,
             ..PixelIltConfig::default()
         };
-        let plain = run_pixel_ilt(&s, &target, &cfg).unwrap();
+        let plain = run_pixel_ilt(&s, &target, &cfg, RunOptions::default()).unwrap();
         let mut sink = cfaopc_trace::MemorySink::new();
-        let traced = run_pixel_ilt_traced(&s, &target, &cfg, &mut sink).unwrap();
+        let options = RunOptions {
+            sink: Some(&mut sink),
+            ..RunOptions::default()
+        };
+        let traced = run_pixel_ilt(&s, &target, &cfg, options).unwrap();
         assert_eq!(plain.mask_binary, traced.mask_binary);
         for (a, b) in plain.latent.as_slice().iter().zip(traced.latent.as_slice()) {
             assert_eq!(a.to_bits(), b.to_bits(), "sink perturbed the latent");
@@ -480,7 +415,7 @@ mod tests {
         };
         // The raw l2/pvb terms stay finite; the weighted total is the
         // first poisoned quantity the guard sees.
-        match run_pixel_ilt(&s, &target, &cfg) {
+        match run_pixel_ilt(&s, &target, &cfg, RunOptions::default()) {
             Err(LithoError::NonFinite { iteration, term }) => {
                 assert_eq!(iteration, 0);
                 assert_eq!(term, NonFiniteTerm::LossTotal);
@@ -502,7 +437,11 @@ mod tests {
             ..PixelIltConfig::default()
         };
         let mut sink = cfaopc_trace::MemorySink::new();
-        let err = run_pixel_ilt_traced(&s, &target, &cfg, &mut sink).unwrap_err();
+        let options = RunOptions {
+            sink: Some(&mut sink),
+            ..RunOptions::default()
+        };
+        let err = run_pixel_ilt(&s, &target, &cfg, options).unwrap_err();
         assert!(matches!(err, LithoError::NonFinite { iteration: 0, .. }));
         let recs = sink.records();
         assert_eq!(recs.len(), 1, "the poisoned iteration must still record");

@@ -5,7 +5,8 @@ use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// Cooperative cancellation handle for the optimizer entry points.
+/// Cooperative cancellation handle for the optimizers, passed to a run
+/// as `RunOptions::cancel`.
 ///
 /// Clones share one flag; any clone may [`cancel`](CancelToken::cancel)
 /// (e.g. a daemon's client handler or timeout watchdog) and the
@@ -70,11 +71,11 @@ pub enum LithoError {
     Fft(FftError),
     /// The run observed its [`CancelToken`] and stopped early.
     ///
-    /// Raised by the cancellable optimizer entry points at the top of an
-    /// iteration — the same clean mid-run exit the [`LithoError::NonFinite`]
-    /// health guard takes, so a cancelled run leaves shared simulator
-    /// state (kernels, FFT plans, buffer pools, the worker pool) fully
-    /// reusable by the next run.
+    /// Raised by `run_pixel_ilt` and `run_circleopt` at the top of an
+    /// iteration once their `RunOptions::cancel` token fires — the same
+    /// clean mid-run exit the [`LithoError::NonFinite`] health guard
+    /// takes, so a cancelled run leaves shared simulator state (kernels,
+    /// FFT plans, buffer pools, the worker pool) reusable by the next run.
     Cancelled {
         /// Zero-based iteration at which the cancellation was observed.
         iteration: usize,

@@ -44,9 +44,9 @@
 //!   whose writer tags each line with the job id and multiplexes it
 //!   onto the client socket. A dead client surfaces as the sink's
 //!   latched write error, which cancels the job.
-//! * **Cancellation** — every job carries a `CancelToken` polled at
-//!   optimizer-iteration boundaries (`run_circleopt_cancellable`), the
-//!   same clean exit as the `NonFinite` health guard; timeouts are a
+//! * **Cancellation** — every job carries a `CancelToken`, passed to
+//!   `run_circleopt` as `RunOptions::cancel` and polled at
+//!   optimizer-iteration boundaries, the same clean exit as the `NonFinite` health guard; timeouts are a
 //!   watchdog flipping the token, client cancels flip it over the wire,
 //!   and shutdown flips them all.
 //!

@@ -30,7 +30,7 @@ use crate::cache::SimulatorCache;
 use crate::protocol::{self, JobSpec, Request};
 use crate::queue::{JobQueue, PushError};
 use crate::stream::{SharedWriter, StreamSink};
-use cfaopc_core::{run_circleopt_cancellable, CircleOptConfig, CircleOptResult};
+use cfaopc_core::{run_circleopt, CircleOptConfig, CircleOptResult, RunOptions};
 use cfaopc_fft::parallel::{with_worker_limit, worker_count, worker_shares};
 use cfaopc_litho::{CancelToken, LithoError};
 use cfaopc_metrics::{evaluate_mask, EpeConfig};
@@ -425,14 +425,13 @@ fn watchdog_loop(state: &Arc<State>) {
 }
 
 /// Builds the job's optimizer configuration exactly as the eval suite
-/// does (gamma rescaled to grid resolution), with optional per-job loss
+/// does (gamma rescaled to the pixel pitch), with optional per-job loss
 /// weights on top.
-fn job_config(spec: &JobSpec) -> CircleOptConfig {
+fn job_config(spec: &JobSpec, pixel_nm: f64) -> CircleOptConfig {
     let mut config = CircleOptConfig {
         init_iterations: spec.init_iterations,
         circle_iterations: spec.circle_iterations,
-        gamma: 3.0 * (spec.size as f64 / 2048.0).powi(2),
-        ..CircleOptConfig::default()
+        ..CircleOptConfig::for_pixel_nm(pixel_nm)
     };
     if let Some(w) = spec.weight_l2 {
         config.weights.l2 = w;
@@ -494,19 +493,21 @@ fn execute(
         .map_err(|e| fail(e.to_string()))?;
     let layout = spec.source.layout().map_err(|e| fail(e.to_string()))?;
     let target = layout.rasterize(spec.size);
-    let config = job_config(spec);
+    let config = job_config(spec, sim.config().pixel_nm());
 
     // The whole optimize-and-measure pipeline runs under this runner's
     // pool share; inner regions are bit-identical at any limit, so the
     // share never shows up in the results.
     with_worker_limit(share, || {
-        let run = if spec.stream {
-            let mut sink = StreamSink::new(writer.clone(), &spec.id, cancel.clone());
-            run_circleopt_cancellable(&sim, &target, &config, &mut sink, cancel)
-        } else {
-            run_circleopt_cancellable(&sim, &target, &config, &mut (), cancel)
+        let mut sink = spec
+            .stream
+            .then(|| StreamSink::new(writer.clone(), &spec.id, cancel.clone()));
+        let options = RunOptions {
+            sink: sink.as_mut().map(|s| s as _),
+            cancel: Some(cancel),
+            ..RunOptions::default()
         };
-        let result = run.map_err(|e| match e {
+        let result = run_circleopt(&sim, &target, &config, options).map_err(|e| match e {
             LithoError::Cancelled { .. } => JobError::Cancelled,
             other => fail(other.to_string()),
         })?;

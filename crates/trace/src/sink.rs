@@ -8,9 +8,9 @@ use crate::{counter_snapshot, span_snapshot};
 /// Which optimizer stage emitted a record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
-    /// Stage 1: pixel-domain ILT (`run_pixel_ilt`).
+    /// Pixel-domain ILT (`run_pixel_ilt`), also CircleOpt's stage 1.
     PixelIlt,
-    /// Stage 2: circle-level ILT (`run_circleopt`).
+    /// CircleOpt's stage 2, circle-level ILT (`cfaopc_core::run_circleopt`).
     CircleOpt,
 }
 
@@ -51,7 +51,9 @@ pub struct IterationRecord {
     pub grad_linf: f64,
 }
 
-/// Receiver for per-iteration optimizer telemetry.
+/// Receiver for per-iteration optimizer telemetry, attached to a run
+/// through the `sink` field of the optimizers' `RunOptions` (leave it
+/// `None` for no telemetry).
 ///
 /// Implementations must not assume records arrive for every iteration —
 /// a health-guard abort stops the stream early — and should avoid
@@ -59,11 +61,6 @@ pub struct IterationRecord {
 pub trait TelemetrySink {
     /// Called once per optimizer iteration, after the step's bookkeeping.
     fn record(&mut self, rec: &IterationRecord);
-}
-
-/// A no-op [`TelemetrySink`] usable where a sink is required.
-impl TelemetrySink for () {
-    fn record(&mut self, _rec: &IterationRecord) {}
 }
 
 /// Collects records into a pre-allocated `Vec`.

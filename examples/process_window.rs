@@ -36,9 +36,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &CircleOptConfig {
             init_iterations: 10,
             circle_iterations: 30,
-            gamma: 3.0 * (n as f64 / 2048.0).powi(2),
-            ..CircleOptConfig::default()
+            ..CircleOptConfig::for_pixel_nm(sim.config().pixel_nm())
         },
+        RunOptions::default(),
     )?;
 
     let out_dir = std::path::Path::new("target/experiments");

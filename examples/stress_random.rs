@@ -21,7 +21,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let pixel_nm = config.pixel_nm();
     let sim = LithoSimulator::new(config)?;
     let n = sim.size();
-    let gamma = 3.0 * (n as f64 / 2048.0).powi(2);
     let (r_min, r_max) = CircleRuleConfig::default().radius_range_px(pixel_nm);
 
     let mut table = MetricTable::new(format!("random stress ({seeds} tiles)"));
@@ -34,9 +33,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             &CircleOptConfig {
                 init_iterations: 10,
                 circle_iterations: 25,
-                gamma,
-                ..CircleOptConfig::default()
+                ..CircleOptConfig::for_pixel_nm(pixel_nm)
             },
+            RunOptions::default(),
         )?;
         // Invariants: every shot within writer limits, raster = union.
         let report = check_mrc(

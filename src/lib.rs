@@ -48,6 +48,7 @@
 //!     &sim,
 //!     &target,
 //!     &CircleOptConfig { init_iterations: 2, circle_iterations: 2, ..CircleOptConfig::default() },
+//!     RunOptions::default(),
 //! )?;
 //! println!("CircleRule {} shots, CircleOpt {} shots", circles.shot_count(), opt.shot_count());
 //! # Ok(())
@@ -75,13 +76,12 @@ pub use cfaopc_viz as viz;
 /// One-stop imports for applications.
 pub mod prelude {
     pub use cfaopc_chip::{
-        compare_chip_reports, run_chip_case, run_chip_case_full, run_chip_suite, ChipGeometry,
-        ChipReport, ChipSpec,
+        compare_chip_reports, run_chip_case_full, run_chip_suite, ChipGeometry, ChipReport,
+        ChipSpec,
     };
     pub use cfaopc_core::{
-        compose, compose_soft, run_circleopt, run_circleopt_from, run_circleopt_from_traced,
-        run_circleopt_traced, ste, CircleOptConfig, CircleOptResult, CircleParams, ComposeConfig,
-        Composition, SparseCircles,
+        compose, compose_soft, run_circleopt, ste, CircleOptConfig, CircleOptResult, CircleParams,
+        ComposeConfig, Composition, RunOptions, SparseCircles,
     };
     pub use cfaopc_ebeam::{
         correct_proximity, intended_pattern, DosedShot, EbeamPsf, PecConfig, WriterModel,

@@ -70,7 +70,7 @@ fn circleopt_pipeline_on_case4() {
         circle_iterations: 12,
         ..CircleOptConfig::default()
     };
-    let result = run_circleopt(&sim, &target, &cfg).unwrap();
+    let result = run_circleopt(&sim, &target, &cfg, RunOptions::default()).unwrap();
     assert!(result.shot_count() > 0);
 
     // The mask is a pure union of in-range circles (CFAOPC constraint).

@@ -19,9 +19,9 @@ fn circleopt_shots_survive_the_writer() {
         &CircleOptConfig {
             init_iterations: 8,
             circle_iterations: 12,
-            gamma: 3.0 * (n as f64 / 2048.0).powi(2),
-            ..CircleOptConfig::default()
+            ..CircleOptConfig::for_pixel_nm(px)
         },
+        RunOptions::default(),
     )
     .unwrap();
     assert!(result.shot_count() > 0);
@@ -78,9 +78,9 @@ fn meef_of_an_optimized_mask_is_finite() {
         &CircleOptConfig {
             init_iterations: 6,
             circle_iterations: 8,
-            gamma: 3.0 * (n as f64 / 2048.0).powi(2),
-            ..CircleOptConfig::default()
+            ..CircleOptConfig::for_pixel_nm(sim.config().pixel_nm())
         },
+        RunOptions::default(),
     )
     .unwrap();
     let meef = measure_meef(&sim, &result.mask_raster, &probe).unwrap();
